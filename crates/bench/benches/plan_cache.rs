@@ -5,8 +5,8 @@
 //! (single-table RSPNs, so every query combines two members):
 //!
 //! * **planned-cold** — plan cache capacity 0 (full bypass): every call pays
-//!   planning + translation + sentinel-free build, exactly the pre-cache
-//!   behavior.
+//!   planning + translation, one build from the real literals, exactly
+//!   the pre-cache behavior.
 //! * **planned-cached** — default cache, warmed: every call is a shape hit
 //!   that only rebinds literal slots into a shared artifact.
 //! * **prepared** — `Ensemble::prepare` once per shape outside the timer;

@@ -35,34 +35,35 @@
 //!   members' sets at prepare time and prunes with zero per-execute
 //!   discovery.
 //!
-//! # Literal binds via sentinel discovery
+//! # Literal binds via placeholder builds
 //!
-//! Rather than trusting the translation layer to report where literals land,
-//! the cache **observes** it: on a miss the artifact is built twice — once
-//! with the real literals, once with every literal replaced by a
-//! distinguishable sentinel `f64` ([`sentinel`], quiet bit patterns near the
-//! top of the finite range). If both builds have the same plan layout
-//! ([`ProbePlan::same_layout`]), the flat literal walks are diffed bitwise:
-//! an unchanged slot is a plan constant (±∞ range endpoints, join-indicator
-//! values, translated representatives); a slot that changed must hold
-//! sentinel *i* in the sentinel build and literal *i*'s exact bits in the
-//! real build, and becomes a bind `(flat position, literal index)`. Any
-//! unexplained difference — value-dependent translation (e.g. the
-//! functional-dependency dictionary rewrite), layout divergence, a real
-//! literal colliding with the sentinel range — rejects caching for that
-//! shape. **Conservative by construction**: a query either gets a provably
-//! value-independent artifact or plans cold like before.
+//! A bindable shape is planned **once**, from the query with literal *i*
+//! replaced by placeholder *i* ([`placeholder`], huge finite doubles that no
+//! translation produces as a plan constant). Translation copies a literal's
+//! `f64` into its probe slot without reading it, so every flat literal slot
+//! of the built plan that holds placeholder *i* becomes a bind `(flat
+//! position, literal index)`; every other slot is a plan constant (±∞ range
+//! endpoints, join-indicator values). Every execution — the miss that built
+//! the artifact included — runs a clone rebound with the real literals, so
+//! real literals never enter a cached build.
+//!
+//! The one translation that reads a literal's value is the
+//! functional-dependency dictionary rewrite (a predicate on an FD-dependent
+//! column becomes an `IN` list over determinant values). Bindability is
+//! therefore decided from the shape before building ([`bindable`]): a shape
+//! with a predicate on a column some member answers through an FD
+//! dictionary plans from its real literals and is never cached.
 //!
 //! # Prepared queries
 //!
 //! [`Ensemble::prepare`] turns a scalar aggregate query into a
-//! [`PreparedQuery`]: planning, translation, and bind discovery happen once;
+//! [`PreparedQuery`]: planning, translation, and bind reading happen once;
 //! [`PreparedQuery::execute`] only rewrites the bound literal slots in a
 //! pre-sized plan and runs one inline fused sweep per member
 //! ([`ProbePlan::execute_into`] over a reusable
 //! [`InlineSweep`]) into pre-sized results — **zero allocations** in steady
-//! state. Shapes whose binds cannot be discovered still prepare, but fall
-//! back to cold planning per execution (see [`PreparedQuery::is_bound`]).
+//! state. Non-bindable shapes still prepare, but plan cold per execution
+//! (see [`PreparedQuery::is_bound`]).
 //!
 //! # Invalidation
 //!
@@ -91,22 +92,21 @@ use crate::plan::{ProbePlan, ProbeResults};
 use crate::DeepDbError;
 
 /// Default [`PlanCache`] capacity (entries across all tiers). `0` disables
-/// caching entirely — lookups, discovery, and inserts are all skipped, so a
-/// capacity-0 ensemble measures the true planned-cold path.
+/// caching entirely — lookups, placeholder builds, and inserts are all
+/// skipped, so a capacity-0 ensemble measures the true planned-cold path.
 pub(crate) const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 
 // ---------------------------------------------------------------------------
-// Sentinels
+// Placeholders
 // ---------------------------------------------------------------------------
 
-/// Base bit pattern of the sentinel range: huge finite doubles (~9e307) that
-/// cannot occur as translated plan constants and survive every
-/// literal-preserving translation bitwise.
-const SENT_BASE: u64 = 0x7FE0_0000_0000_0000;
+/// Base bit pattern of the placeholder range: huge finite doubles (~9e307)
+/// that never occur as translated plan constants.
+const PLACEHOLDER_BASE: u64 = 0x7FE0_0000_0000_0000;
 
-/// Sentinel stand-in for literal `i` during bind discovery.
-fn sentinel(i: u32) -> f64 {
-    f64::from_bits(SENT_BASE + u64::from(i))
+/// Stand-in for literal `i` in the build of a bindable shape.
+fn placeholder(i: u32) -> f64 {
+    f64::from_bits(PLACEHOLDER_BASE + u64::from(i))
 }
 
 // ---------------------------------------------------------------------------
@@ -168,8 +168,8 @@ fn pred_shapes(preds: &[Predicate]) -> Vec<PredShape> {
 }
 
 /// Canonical cache key: everything that determines plan structure, nothing
-/// that a literal rebind can change. `literal_bits` stays empty for
-/// bind-discovered artifact tiers and carries the exact literal bits for the
+/// that a literal rebind can change. `literal_bits` stays empty for the
+/// rebindable artifact tier and carries the exact literal bits for the
 /// template tier (templates bake literals into their base queries).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct QueryShape {
@@ -195,6 +195,17 @@ pub(crate) enum ArtifactKind {
     /// `execute_aqp`'s scalar path: a `(aggregate, count)` pair via
     /// [`register_scalar`] (aggregate kind read from the query).
     AqpScalar,
+}
+
+impl ArtifactKind {
+    /// The kind serving a scalar aggregate query's own estimate entry point.
+    pub(crate) fn of(aggregate: Aggregate) -> Self {
+        match aggregate {
+            Aggregate::CountStar => ArtifactKind::Count,
+            Aggregate::Avg(t) => ArtifactKind::Avg(t),
+            Aggregate::Sum(t) => ArtifactKind::Sum(t),
+        }
+    }
 }
 
 fn agg_code(kind: ArtifactKind, query: &Query) -> (u8, TableId, ColId) {
@@ -269,11 +280,20 @@ fn walk_pred_literals(preds: &mut [Predicate], mut f: impl FnMut(&mut Value)) {
     }
 }
 
-fn collect_pred_literals(preds: &[Predicate], out: &mut Vec<f64>) {
-    let mut preds = preds.to_vec();
-    walk_pred_literals(&mut preds, |v| {
-        out.push(v.as_f64().expect("non-NULL literal"));
-    });
+/// Read-only twin of [`walk_pred_literals`] (same order), passing each
+/// literal to `f` as `f64`.
+pub(crate) fn for_each_pred_literal<'a>(
+    preds: impl IntoIterator<Item = &'a Predicate>,
+    mut f: impl FnMut(f64),
+) {
+    for p in preds {
+        match &p.op {
+            PredOp::Cmp(_, v) => v.as_f64().into_iter().for_each(&mut f),
+            PredOp::Between(lo, hi) => lo.as_f64().into_iter().chain(hi.as_f64()).for_each(&mut f),
+            PredOp::In(vs) => vs.iter().filter_map(Value::as_f64).for_each(&mut f),
+            PredOp::IsNull | PredOp::IsNotNull => {}
+        }
+    }
 }
 
 /// Every non-NULL literal of the query (and disjuncts, in order) as `f64` —
@@ -282,10 +302,10 @@ fn collect_pred_literals(preds: &[Predicate], out: &mut Vec<f64>) {
 /// convenience extractor [`query_literals`] exposes it publicly.
 fn collect_all_literals(query: &Query, disjuncts: &[Vec<Predicate>]) -> Vec<f64> {
     let mut out = Vec::new();
-    collect_pred_literals(&query.predicates, &mut out);
-    for d in disjuncts {
-        collect_pred_literals(d, &mut out);
-    }
+    for_each_pred_literal(
+        query.predicates.iter().chain(disjuncts.iter().flatten()),
+        |v| out.push(v),
+    );
     out
 }
 
@@ -297,27 +317,22 @@ pub fn query_literals(query: &Query) -> Vec<f64> {
     collect_all_literals(query, &[])
 }
 
-/// Clone of the query (and disjuncts) with every literal replaced by its
-/// sentinel — the second build of bind discovery.
-fn sentinel_variant(query: &Query, disjuncts: &[Vec<Predicate>]) -> (Query, Vec<Vec<Predicate>>) {
-    let mut i = 0u32;
+/// Clone of the query (and disjuncts) with literal *i* replaced by
+/// placeholder *i*, plus the literal count.
+fn placeholder_variant(
+    query: &Query,
+    disjuncts: &[Vec<Predicate>],
+) -> (Query, Vec<Vec<Predicate>>, u32) {
     let mut q = query.clone();
-    walk_pred_literals(&mut q.predicates, |v| {
-        *v = Value::Float(sentinel(i));
-        i += 1;
-    });
-    let ds = disjuncts
-        .iter()
-        .map(|d| {
-            let mut d = d.clone();
-            walk_pred_literals(&mut d, |v| {
-                *v = Value::Float(sentinel(i));
-                i += 1;
-            });
-            d
-        })
-        .collect();
-    (q, ds)
+    let mut ds = disjuncts.to_vec();
+    let mut i = 0u32;
+    for preds in std::iter::once(&mut q.predicates).chain(ds.iter_mut()) {
+        walk_pred_literals(preds, |v| {
+            *v = Value::Float(placeholder(i));
+            i += 1;
+        });
+    }
+    (q, ds, i)
 }
 
 /// Overwrite the query's literal slots with `literals` (f64-space; every
@@ -333,7 +348,7 @@ fn rebind_query_literals(query: &mut Query, literals: &[f64]) {
 }
 
 // ---------------------------------------------------------------------------
-// Artifact building + bind discovery
+// Artifact building
 // ---------------------------------------------------------------------------
 
 /// How a cached plan's results resolve to estimates — one variant per entry
@@ -378,17 +393,15 @@ impl Resolver {
 }
 
 /// Build the fully-registered plan + resolver for one entry point — exactly
-/// the probe registrations the cold path performs, factored out so cache
-/// hits, misses, and sentinel builds share one recipe. `validate_terms`
-/// keeps the disjunction path's per-term validation on the real build only
-/// (validation is value-independent, so sentinel builds may skip it).
+/// the probe registrations the cold path performs, factored out so cold
+/// plans and placeholder builds share one recipe. The caller has validated
+/// the query, disjunct predicates included.
 fn build_artifact(
     ens: &Ensemble,
     db: &Database,
     query: &Query,
     kind: ArtifactKind,
     disjuncts: &[Vec<Predicate>],
-    validate_terms: bool,
 ) -> Result<(ProbePlan, Resolver), DeepDbError> {
     let qtables: BTreeSet<TableId> = query.tables.iter().copied().collect();
     let mut plan = ProbePlan::new();
@@ -401,9 +414,6 @@ fn build_artifact(
                 if mask & (1 << i) != 0 {
                     sub.predicates.extend(d.iter().cloned());
                 }
-            }
-            if validate_terms {
-                sub.validate(db)?;
             }
             let sign = if mask.count_ones() % 2 == 1 {
                 1.0
@@ -449,60 +459,74 @@ fn build_artifact(
     Ok((plan, resolver))
 }
 
-/// A cached, rebindable plan: the registered probe plan, its resolver, and
-/// the discovered literal binds. Shared via `Arc` — hits clone only the
-/// [`ProbePlan`] (the derived clone preserves the plan id, so the stored
-/// resolver's handles resolve against the clone's results).
+/// A rebindable plan: the probe plan registered over placeholder literals,
+/// its resolver, and the literal binds read off it. Shared via `Arc` —
+/// executions clone only the [`ProbePlan`] (the derived clone preserves the
+/// plan id, so the stored resolver's handles resolve against the clone's
+/// results).
 pub(crate) struct PlanArtifact {
     plan: ProbePlan,
     resolver: Resolver,
     /// `(flat literal position, query literal index)`, sorted by position.
     binds: Vec<(u32, u32)>,
-    n_literals: usize,
 }
 
-/// Diff the real build against a sentinel build to locate literal slots.
-/// Returns `None` — don't cache — on any unexplained difference.
-fn discover_binds(
+/// Whether the shape's translation is value-independent: no predicate (or
+/// disjunct) targets a column some member answers through an FD dictionary.
+fn bindable(ens: &Ensemble, query: &Query, disjuncts: &[Vec<Predicate>]) -> bool {
+    !query
+        .predicates
+        .iter()
+        .chain(disjuncts.iter().flatten())
+        .any(|p| {
+            ens.rspns()
+                .iter()
+                .any(|r| r.fd_dictionary(p.table, p.column).is_some())
+        })
+}
+
+/// The artifact of a bindable shape: a cache hit, or one build over
+/// placeholder literals (inserted when the cache is enabled) whose flat
+/// literal slots holding placeholder *i* become binds `(position, i)`.
+/// `None` when the shape is not bindable.
+fn artifact(
     ens: &Ensemble,
     db: &Database,
     query: &Query,
     kind: ArtifactKind,
     disjuncts: &[Vec<Predicate>],
-    plan: &ProbePlan,
-    literals: &[f64],
-) -> Option<Vec<(u32, u32)>> {
-    let n = literals.len() as u64;
-    // A real literal inside the sentinel range could masquerade as a plan
-    // constant (or a bind of the wrong index) — refuse to cache.
-    if literals.iter().any(|v| {
-        let b = v.to_bits();
-        b >= SENT_BASE && b < SENT_BASE + n
-    }) {
-        return None;
+) -> Result<Option<Arc<PlanArtifact>>, DeepDbError> {
+    let cache = ens.plan_cache();
+    let shape = cache
+        .enabled()
+        .then(|| artifact_shape(ens.plan_epoch(), query, kind, disjuncts));
+    if let Some(CachedValue::Plan(art)) = shape.as_ref().and_then(|s| cache.lookup(s)) {
+        return Ok(Some(art));
     }
-    let (sq, sd) = sentinel_variant(query, disjuncts);
-    let (sent_plan, _) = build_artifact(ens, db, &sq, kind, &sd, false).ok()?;
-    if !plan.same_layout(&sent_plan) {
-        return None;
+    if !bindable(ens, query, disjuncts) {
+        return Ok(None);
     }
-    let mut real = Vec::new();
-    let mut sent = Vec::new();
-    plan.flat_literals(&mut real);
-    sent_plan.flat_literals(&mut sent);
-    debug_assert_eq!(real.len(), sent.len(), "same_layout implies equal walks");
-    let mut binds = Vec::new();
-    for (pos, (&a, &b)) in real.iter().zip(&sent).enumerate() {
-        if a.to_bits() == b.to_bits() {
-            continue; // plan constant
-        }
-        let i = b.to_bits().wrapping_sub(SENT_BASE);
-        if i >= n || a.to_bits() != literals[i as usize].to_bits() {
-            return None; // value-dependent translation — not rebindable
-        }
-        binds.push((pos as u32, i as u32));
+    let (pq, pd, n) = placeholder_variant(query, disjuncts);
+    let (plan, resolver) = build_artifact(ens, db, &pq, kind, &pd)?;
+    let mut flat = Vec::new();
+    plan.flat_literals(&mut flat);
+    let binds = flat
+        .iter()
+        .enumerate()
+        .filter_map(|(pos, v)| {
+            let i = v.to_bits().wrapping_sub(PLACEHOLDER_BASE);
+            (i < u64::from(n)).then_some((pos as u32, i as u32))
+        })
+        .collect();
+    let art = Arc::new(PlanArtifact {
+        plan,
+        resolver,
+        binds,
+    });
+    if let Some(shape) = shape {
+        cache.insert(shape, CachedValue::Plan(Arc::clone(&art)));
     }
-    Some(binds)
+    Ok(Some(art))
 }
 
 // ---------------------------------------------------------------------------
@@ -555,9 +579,9 @@ struct CacheInner {
     /// Pruning active sets, keyed on `(member, constrained-column union)`
     /// and stamped with the plan epoch they were built under. A dedicated
     /// side table rather than `map` entries: an active set costs one
-    /// O(nodes) arena walk to rebuild, so it must never evict a
-    /// bind-discovered plan artifact (built twice + diffed) under LRU
-    /// pressure, and its lookups are bookkeeping, not plan hits/misses.
+    /// O(nodes) arena walk to rebuild, so it must never evict a plan
+    /// artifact (a full planning pass) under LRU pressure, and its lookups
+    /// are bookkeeping, not plan hits/misses.
     /// Epoch invalidation is eager — the first access at a new epoch clears
     /// the whole table, so stale sets never survive a maintenance op.
     actives: HashMap<(usize, Vec<usize>), Arc<ActiveSet>>,
@@ -567,8 +591,8 @@ struct CacheInner {
 
 /// LRU plan cache keyed on [`QueryShape`]. Counter-based recency (a lookup
 /// or insert advances a logical tick); capacity 0 disables the cache —
-/// callers skip lookup, discovery, and insert entirely, so the cold path is
-/// measured honestly.
+/// callers skip lookup, placeholder build, and insert entirely, so the cold
+/// path is measured honestly.
 pub(crate) struct PlanCache {
     inner: Mutex<CacheInner>,
 }
@@ -726,12 +750,12 @@ impl Obtained {
     }
 }
 
-/// Get an executable plan for `(query, kind, disjuncts)`: a rebound clone of
-/// a cached artifact on a hit; a cold build (inserted when bind discovery
-/// succeeds) otherwise. With the cache disabled this is exactly the old cold
-/// path — no lookup, no discovery. Also the per-request planning step of the
-/// serving front-end ([`crate::serve`]), whose batches absorb the returned
-/// plan and resolve through the returned [`Obtained`].
+/// Get an executable plan for `(query, kind, disjuncts)`: a clone of the
+/// shape's artifact rebound with the query's literals, hit or miss. With the
+/// cache disabled — or for a non-bindable shape — the plan is built straight
+/// from the real literals: the cold path. Also the per-request
+/// planning step of the serving front-end ([`crate::serve`]), whose batches
+/// absorb the returned plan and resolve through the returned [`Obtained`].
 pub(crate) fn obtain(
     ens: &Ensemble,
     db: &Database,
@@ -739,34 +763,15 @@ pub(crate) fn obtain(
     kind: ArtifactKind,
     disjuncts: &[Vec<Predicate>],
 ) -> Result<(ProbePlan, Obtained), DeepDbError> {
-    let cache = ens.plan_cache();
-    if !cache.enabled() {
-        let (plan, resolver) = build_artifact(ens, db, query, kind, disjuncts, true)?;
-        return Ok((plan, Obtained::Owned(Box::new(resolver))));
-    }
-    let shape = artifact_shape(ens.plan_epoch(), query, kind, disjuncts);
-    let literals = collect_all_literals(query, disjuncts);
-    if let Some(CachedValue::Plan(art)) = cache.lookup(&shape) {
-        if art.n_literals == literals.len() {
+    if ens.plan_cache().enabled() {
+        if let Some(art) = artifact(ens, db, query, kind, disjuncts)? {
             let mut plan = art.plan.clone();
-            plan.rebind_literals(&art.binds, &literals);
+            plan.rebind_literals(&art.binds, &collect_all_literals(query, disjuncts));
             return Ok((plan, Obtained::Shared(art)));
         }
     }
-    let (plan, resolver) = build_artifact(ens, db, query, kind, disjuncts, true)?;
-    match discover_binds(ens, db, query, kind, disjuncts, &plan, &literals) {
-        Some(binds) => {
-            let art = Arc::new(PlanArtifact {
-                plan: plan.clone(),
-                resolver,
-                binds,
-                n_literals: literals.len(),
-            });
-            cache.insert(shape, CachedValue::Plan(Arc::clone(&art)));
-            Ok((plan, Obtained::Shared(art)))
-        }
-        None => Ok((plan, Obtained::Owned(Box::new(resolver)))),
-    }
+    let (plan, resolver) = build_artifact(ens, db, query, kind, disjuncts)?;
+    Ok((plan, Obtained::Owned(Box::new(resolver))))
 }
 
 /// Cache-routed single-estimate entry point (`COUNT`/`AVG`/`SUM`/
@@ -957,9 +962,9 @@ pub(crate) fn ml_prelude(
 /// [`ProbePlan`] clone, pre-sized results, and a reusable inline sweep:
 /// [`PreparedQuery::execute`] rewrites the bound literal slots in place,
 /// runs one fused inline sweep per touched member, and resolves — **zero
-/// planning work and zero allocations** in steady state. Shapes whose binds
-/// could not be discovered (value-dependent translation, e.g. functional
-/// dependency rewrites) fall back to cold planning per execution.
+/// planning work and zero allocations** in steady state. Non-bindable
+/// shapes (predicates on functional-dependency dependent columns, whose
+/// translation reads the literal) fall back to cold planning per execution.
 pub struct PreparedQuery {
     epoch: u64,
     n_literals: usize,
@@ -988,8 +993,8 @@ enum PreparedInner {
     },
 }
 
-/// Prepare `query` against the ensemble: plan, translate, and discover
-/// literal binds once ([`Ensemble::prepare`] delegates here).
+/// Prepare `query` against the ensemble: plan, translate, and read literal
+/// binds once ([`Ensemble::prepare`] delegates here).
 pub(crate) fn prepare(
     ens: &Ensemble,
     db: &Database,
@@ -1001,47 +1006,11 @@ pub(crate) fn prepare(
             "prepare supports scalar aggregates; GROUP BY queries go through execute_aqp".into(),
         ));
     }
-    let kind = match query.aggregate {
-        Aggregate::CountStar => ArtifactKind::Count,
-        Aggregate::Avg(t) => ArtifactKind::Avg(t),
-        Aggregate::Sum(t) => ArtifactKind::Sum(t),
-    };
+    let kind = ArtifactKind::of(query.aggregate);
     let epoch = ens.plan_epoch();
-    let literals = collect_all_literals(query, &[]);
-    let cache = ens.plan_cache();
-
-    let cached = if cache.enabled() {
-        let shape = artifact_shape(epoch, query, kind, &[]);
-        match cache.lookup(&shape) {
-            Some(CachedValue::Plan(a)) if a.n_literals == literals.len() => Some(a),
-            _ => {
-                let (plan, resolver) = build_artifact(ens, db, query, kind, &[], true)?;
-                discover_binds(ens, db, query, kind, &[], &plan, &literals).map(|binds| {
-                    let a = Arc::new(PlanArtifact {
-                        plan,
-                        resolver,
-                        binds,
-                        n_literals: literals.len(),
-                    });
-                    cache.insert(shape, CachedValue::Plan(Arc::clone(&a)));
-                    a
-                })
-            }
-        }
-    } else {
-        // Cache disabled: the prepared query still owns a private artifact.
-        let (plan, resolver) = build_artifact(ens, db, query, kind, &[], true)?;
-        discover_binds(ens, db, query, kind, &[], &plan, &literals).map(|binds| {
-            Arc::new(PlanArtifact {
-                plan,
-                resolver,
-                binds,
-                n_literals: literals.len(),
-            })
-        })
-    };
-
-    let inner = match cached {
+    let literals = query_literals(query);
+    // With the cache disabled the prepared query owns a private artifact.
+    let inner = match artifact(ens, db, query, kind, &[])? {
         Some(artifact) => {
             let mut plan = artifact.plan.clone();
             plan.rebind_literals(&artifact.binds, &literals);
@@ -1059,10 +1028,14 @@ pub(crate) fn prepare(
                 actives,
             }
         }
-        None => PreparedInner::Fallback {
-            query: query.clone(),
-            kind,
-        },
+        None => {
+            // Surface planning errors now, as for a bindable shape.
+            build_artifact(ens, db, query, kind, &[])?;
+            PreparedInner::Fallback {
+                query: query.clone(),
+                kind,
+            }
+        }
     };
     Ok(PreparedQuery {
         epoch,
@@ -1106,7 +1079,7 @@ impl PreparedQuery {
             }
             PreparedInner::Fallback { query, kind } => {
                 rebind_query_literals(query, literals);
-                let (plan, resolver) = build_artifact(ens, db, query, *kind, &[], false)?;
+                let (plan, resolver) = build_artifact(ens, db, query, *kind, &[])?;
                 let results = plan.execute(ens);
                 resolver.resolve_single(&results)
             }
@@ -1118,9 +1091,9 @@ impl PreparedQuery {
         self.n_literals
     }
 
-    /// Whether bind discovery succeeded: `true` means executions rebind a
-    /// frozen artifact (zero planning work); `false` means the shape is
-    /// value-dependent and each execution plans cold.
+    /// Whether the shape is bindable: `true` means executions rebind a
+    /// frozen artifact (zero planning work); `false` means a predicate hits
+    /// an FD-dependent column and each execution plans cold.
     pub fn is_bound(&self) -> bool {
         matches!(self.inner, PreparedInner::Bound { .. })
     }

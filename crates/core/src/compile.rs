@@ -194,11 +194,16 @@ pub fn estimate_count_disjunction(
             disjuncts.len()
         )));
     }
-    query.validate(db)?;
-    // Term enumeration, per-term validation (disjunct predicates can
-    // reference tables outside the FROM list), registration, and the signed
-    // inclusion–exclusion resolution all live in the shared cache-routed
-    // builder so repeated disjunction shapes reuse one plan artifact.
+    // Disjunct predicates can reference tables outside the FROM list.
+    // Validation is value-independent and per predicate, so checking every
+    // term's predicates together reports exactly what the first invalid
+    // inclusion–exclusion term would.
+    let mut all = query.clone();
+    all.predicates.extend(disjuncts.iter().flatten().cloned());
+    all.validate(db)?;
+    // Term enumeration, registration, and the signed inclusion–exclusion
+    // resolution live in the shared cache-routed builder so repeated
+    // disjunction shapes reuse one plan artifact.
     crate::cache::scalar_estimate(ens, db, query, crate::cache::ArtifactKind::Count, disjuncts)
 }
 

@@ -522,14 +522,14 @@ impl Ensemble {
     }
 
     /// Resize the plan cache (`0` disables caching entirely — every query
-    /// plans cold, with no lookup or bind-discovery overhead). Clears all
+    /// plans cold, with no lookup or placeholder-build overhead). Clears all
     /// entries and counters.
     pub fn set_plan_cache_capacity(&self, capacity: usize) {
         self.plan_cache.set_capacity(capacity);
     }
 
     /// Prepare a scalar aggregate query for repeated execution with varying
-    /// literals: planning, translation, and literal-bind discovery happen
+    /// literals: planning, translation, and literal-bind reading happen
     /// once, then [`crate::PreparedQuery::execute`] rebinds literal slots in
     /// place and sweeps with zero planning work and zero steady-state
     /// allocations. See the [`crate::cache`] module docs for the lifecycle.

@@ -104,20 +104,13 @@ fn subset_key(query: &Query, tables: &[TableId]) -> Option<SubKey> {
 /// order.
 fn subset_literals(query: &Query, tables: &[TableId], out: &mut Vec<f64>) {
     out.clear();
-    for p in &query.predicates {
-        if !tables.contains(&p.table) {
-            continue;
-        }
-        match &p.op {
-            PredOp::Cmp(_, v) => out.extend(v.as_f64()),
-            PredOp::Between(lo, hi) => {
-                out.extend(lo.as_f64());
-                out.extend(hi.as_f64());
-            }
-            PredOp::In(vs) => out.extend(vs.iter().filter_map(Value::as_f64)),
-            PredOp::IsNull | PredOp::IsNotNull => {}
-        }
-    }
+    crate::cache::for_each_pred_literal(
+        query
+            .predicates
+            .iter()
+            .filter(|p| tables.contains(&p.table)),
+        |v| out.push(v),
+    );
 }
 
 // `Ready` dominates the map and is dereferenced on every estimate; boxing it

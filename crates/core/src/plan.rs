@@ -334,22 +334,6 @@ impl ProbePlan {
         }
     }
 
-    /// Whether two plans have identical probe *structure*: same member
-    /// sequence, same per-member probe counts, and pairwise shape-equal
-    /// expectation probes ([`SpnQuery::same_shape`]) — everything except the
-    /// literal `f64` values. Layout-equal plans expose identical
-    /// [`ProbePlan::flat_literals`] walks, which is what lets the plan cache
-    /// diff two builds of the same query shape and record literal binds.
-    pub(crate) fn same_layout(&self, other: &ProbePlan) -> bool {
-        self.members.len() == other.members.len()
-            && self.members.iter().zip(&other.members).all(|(a, b)| {
-                a.member == b.member
-                    && a.expect.len() == b.expect.len()
-                    && a.mpe.len() == b.mpe.len()
-                    && a.expect.iter().zip(&b.expect).all(|(x, y)| x.same_shape(y))
-            })
-    }
-
     /// Append every literal of every expectation probe to `out`, in the
     /// canonical flat order: members in first-registration order, probes in
     /// registration order, literals in [`SpnQuery::for_each_literal`] order.

@@ -367,21 +367,28 @@ impl Rspn {
             return Ok(());
         }
         // FD rewrite: predicate on a dependent column → IN over determinant.
-        for dict in &self.fds {
-            if dict.fd.table == pred.table && dict.fd.dependent == pred.column {
-                let det = self
-                    .data_col
-                    .get(&(pred.table, dict.fd.determinant))
-                    .copied()
-                    .ok_or_else(|| DeepDbError::Unsupported("FD determinant not modeled".into()))?;
-                q.add_pred(det, LeafPred::In(dict.translate(pred)));
-                return Ok(());
-            }
+        if let Some(dict) = self.fd_dictionary(pred.table, pred.column) {
+            let det = self
+                .data_col
+                .get(&(pred.table, dict.fd.determinant))
+                .copied()
+                .ok_or_else(|| DeepDbError::Unsupported("FD determinant not modeled".into()))?;
+            q.add_pred(det, LeafPred::In(dict.translate(pred)));
+            return Ok(());
         }
         Err(DeepDbError::Unsupported(format!(
             "column ({}, {}) not modeled by this RSPN",
             pred.table, pred.column
         )))
+    }
+
+    /// The FD dictionary that answers predicates on `(table, column)`, if
+    /// the column is FD-dependent here. Its rewrite is the one translation
+    /// that reads a literal's value.
+    pub(crate) fn fd_dictionary(&self, table: TableId, column: ColId) -> Option<&FdDictionary> {
+        self.fds
+            .iter()
+            .find(|d| d.fd.table == table && d.fd.dependent == column)
     }
 
     /// Tuple-factor normalization set for a query over `present` tables

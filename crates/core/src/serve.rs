@@ -68,7 +68,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use deepdb_spn::{CancelFlag, TileFault, TileFaultFn};
-use deepdb_storage::{Aggregate, Database, Query};
+use deepdb_storage::{Database, Query};
 
 use crate::cache::{self, ArtifactKind, Obtained, PreparedQuery};
 use crate::ensemble::Ensemble;
@@ -651,11 +651,7 @@ impl<'a> ServeFront<'a> {
         deadline: Option<Instant>,
     ) -> Result<Estimate, DeepDbError> {
         self.fire(FaultSite::CacheLookup);
-        let kind = match query.aggregate {
-            Aggregate::CountStar => ArtifactKind::Count,
-            Aggregate::Avg(t) => ArtifactKind::Avg(t),
-            Aggregate::Sum(t) => ArtifactKind::Sum(t),
-        };
+        let kind = ArtifactKind::of(query.aggregate);
         let epoch = self.ens.plan_epoch();
         let (plan, obtained): (ProbePlan, Obtained) =
             cache::obtain(self.ens, self.db, query, kind, &[])?;

@@ -20,7 +20,9 @@ use deepdb_core::{
     EnsembleStrategy, Estimate,
 };
 use deepdb_storage::fixtures::correlated_customer_order;
-use deepdb_storage::{Aggregate, CmpOp, ColumnRef, Database, PredOp, Predicate, Query, Value};
+use deepdb_storage::{
+    Aggregate, CmpOp, ColumnRef, Database, Domain, PredOp, Predicate, Query, TableSchema, Value,
+};
 use proptest::prelude::*;
 
 /// Tests that toggle the shared ensemble's cache capacity serialize through
@@ -32,20 +34,69 @@ fn capacity_lock() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
+/// The correlated customer/orders fixture plus `customer.c_zone` (column
+/// 3), a function of `c_region`: `c_zone = 10 · c_region + 5`.
+fn customer_order_with_zone(n_customers: usize, seed: u64) -> Database {
+    let src = correlated_customer_order(n_customers, seed);
+    let mut db = Database::new("correlated_zone");
+    db.create_table(
+        TableSchema::new("customer")
+            .pk("c_id")
+            .col("c_age", Domain::Discrete)
+            .col(
+                "c_region",
+                Domain::categorical(["EUROPE", "ASIA", "AMERICA"]),
+            )
+            .col("c_zone", Domain::Discrete),
+    )
+    .unwrap();
+    db.create_table(src.table(1).schema().clone()).unwrap();
+    db.add_foreign_key("orders", "c_id", "customer").unwrap();
+    let customers = src.table(0);
+    for r in 0..customers.n_rows() {
+        let mut row = customers.row_values(r);
+        let region = row[2].as_i64().unwrap();
+        row.push(Value::Int(10 * region + 5));
+        db.insert("customer", &row).unwrap();
+    }
+    let orders = src.table(1);
+    for r in 0..orders.n_rows() {
+        db.insert("orders", &orders.row_values(r)).unwrap();
+    }
+    db
+}
+
+/// `customer.c_zone` is declared functionally dependent on `c_region`, so
+/// the models omit it and predicates on it are rewritten through the FD
+/// dictionary — the one translation that reads literal values.
+const FD_DEPENDENT: (usize, usize) = (0, 3);
+
 /// Two single-table members: two-table queries exercise Case-3 combination.
+/// Declares the `c_region → c_zone` functional dependency.
 fn single_tables() -> &'static (Database, Ensemble) {
     static CELL: OnceLock<(Database, Ensemble)> = OnceLock::new();
     CELL.get_or_init(|| {
-        let db = correlated_customer_order(1200, 77);
+        let db = customer_order_with_zone(1200, 77);
         let params = EnsembleParams {
             strategy: EnsembleStrategy::SingleTables,
             sample_size: 10_000,
             correlation_sample: 1_000,
             ..EnsembleParams::default()
         };
-        let ens = EnsembleBuilder::new(&db).params(params).build().unwrap();
+        let ens = EnsembleBuilder::new(&db)
+            .params(params)
+            .functional_dependency(0, 2, 3)
+            .build()
+            .unwrap();
         (db, ens)
     })
+}
+
+fn hits_fd_column(query: &Query) -> bool {
+    query
+        .predicates
+        .iter()
+        .any(|p| (p.table, p.column) == FD_DEPENDENT)
 }
 
 fn fresh_ensemble(seed: u64) -> (Database, Ensemble) {
@@ -61,15 +112,17 @@ fn fresh_ensemble(seed: u64) -> (Database, Ensemble) {
 }
 
 /// Build one randomized predicate from a spec tuple. Columns: customer.1
-/// (c_age, discrete), customer.2 (c_region, categorical), orders.2
-/// (o_channel), orders.3 (o_amount, continuous). `op_kind` cycles through
-/// comparison / BETWEEN / IN / NULL shapes, with occasional NULL literals.
+/// (c_age, discrete), customer.2 (c_region, categorical), customer.3
+/// (c_zone, FD-dependent), orders.2 (o_channel), orders.3 (o_amount,
+/// continuous). `op_kind` cycles through comparison / BETWEEN / IN / NULL
+/// shapes, with occasional NULL literals.
 fn spec_predicate(two_tables: bool, spec: (u8, u8, i64, i64)) -> Predicate {
     let (col_sel, op_kind, a, b) = spec;
-    let (table, column, lo, hi) = match col_sel % if two_tables { 4 } else { 2 } {
+    let (table, column, lo, hi) = match col_sel % if two_tables { 5 } else { 3 } {
         0 => (0, 1, 18i64, 90i64), // c_age
         1 => (0, 2, 0, 2),         // c_region
-        2 => (1, 2, 0, 1),         // o_channel
+        2 => (0, 3, 4, 26),        // c_zone (FD-dependent)
+        3 => (1, 2, 0, 1),         // o_channel
         _ => (1, 3, 0, 400),       // o_amount
     };
     let clamp = |v: i64| Value::Int(lo + v.rem_euclid(hi - lo + 1));
@@ -139,6 +192,11 @@ fn assert_transparent(
     // Prepared execution (scalar aggregates only, answerable queries only).
     if let (true, Ok(want)) = (query.group_by.is_empty(), &cold) {
         let mut prepared = ens.prepare(db, query).expect("valid query prepares");
+        assert_eq!(
+            prepared.is_bound(),
+            !hits_fd_column(query),
+            "exactly the FD-dependent shapes plan cold per execution"
+        );
         let lits = query_literals(query);
         for round in 0..2 {
             let got = prepared.execute(ens, db, &lits).unwrap();
@@ -492,29 +550,60 @@ fn active_set_side_table_tracks_epochs() {
 }
 
 /// Prepared queries reject wrong literal arity, and rebinding actually
-/// changes the answer (matching a cold plan of the rebound query).
+/// changes the answer (matching a cold plan of the rebound query) — also for
+/// literals at the edges: a value in the placeholder bit range, ±∞, and a
+/// `BETWEEN` with one NULL side.
 #[test]
 fn prepared_rebinding_matches_cold_plans_per_literal_set() {
     let _guard = capacity_lock();
     let (db, ens) = single_tables();
-    let template = |age: i64| {
-        Query::count(vec![0]).filter(0, 1, PredOp::Between(Value::Int(20), Value::Int(age)))
-    };
-    let mut prepared = ens.prepare(db, &template(40)).unwrap();
+    let between =
+        |lo: Value, hi: Value| Query::count(vec![0]).filter(0, 1, PredOp::Between(lo, hi));
+    let template = |age: Value| between(Value::Int(20), age);
+    let mut prepared = ens.prepare(db, &template(Value::Int(40))).unwrap();
     assert!(prepared.is_bound());
     assert_eq!(prepared.n_literals(), 2);
     assert!(matches!(
         prepared.execute(ens, db, &[20.0]),
         Err(DeepDbError::Unsupported(_))
     ));
-    for age in [25i64, 40, 60, 85] {
-        let q = template(age);
-        let got = prepared.execute(ens, db, &query_literals(&q)).unwrap();
+    let check = |prepared: &mut deepdb_core::PreparedQuery, q: &Query| {
+        let got = prepared.execute(ens, db, &query_literals(q)).unwrap();
         ens.set_plan_cache_capacity(0);
-        let cold = estimate_count(ens, db, &q).unwrap();
+        let cold = estimate_count(ens, db, q).unwrap();
         ens.set_plan_cache_capacity(256);
-        assert_eq!(got.value.to_bits(), cold.value.to_bits(), "age {age}");
-        assert_eq!(got.variance.to_bits(), cold.variance.to_bits());
+        assert_eq!(got.value.to_bits(), cold.value.to_bits(), "{q:?}");
+        assert_eq!(got.variance.to_bits(), cold.variance.to_bits(), "{q:?}");
+    };
+    let placeholder_bits = Value::Float(f64::from_bits(0x7FE0_0000_0000_0000));
+    let ages = [
+        Value::Int(25),
+        Value::Int(40),
+        Value::Int(60),
+        Value::Int(85),
+        placeholder_bits,
+        Value::Float(f64::INFINITY),
+        Value::Float(f64::NEG_INFINITY),
+    ];
+    for age in ages {
+        let q = template(age);
+        check(&mut prepared, &q);
+        // Each literal set also prepares (and binds) on its own.
+        let mut own = ens.prepare(db, &q).unwrap();
+        assert!(own.is_bound(), "{q:?}");
+        check(&mut own, &q);
+    }
+    // One NULL side: a single bindable literal whose translation is the
+    // never-true predicate, whatever its value.
+    for q in [
+        between(Value::Null, Value::Int(40)),
+        between(Value::Int(20), Value::Null),
+        between(placeholder_bits, Value::Null),
+    ] {
+        let mut own = ens.prepare(db, &q).unwrap();
+        assert!(own.is_bound(), "{q:?}");
+        assert_eq!(own.n_literals(), 1);
+        check(&mut own, &q);
     }
 }
 

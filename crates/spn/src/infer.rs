@@ -146,54 +146,12 @@ impl SpnQuery {
             .filter_map(|(i, s)| s.as_ref().map(|_| i))
     }
 
-    /// Whether two queries have the same *shape*: identical slot layout,
-    /// moment functions, predicate variant sequences, range inclusivity
-    /// flags, and value-set lengths — everything except the literal `f64`
-    /// values themselves. Shape-equal queries expose identical
-    /// [`SpnQuery::for_each_literal`] walks, which is what lets a plan cache
-    /// rebind literals into a cached probe structure.
-    pub fn same_shape(&self, other: &SpnQuery) -> bool {
-        if self.slots.len() != other.slots.len() {
-            return false;
-        }
-        self.slots
-            .iter()
-            .zip(&other.slots)
-            .all(|(a, b)| match (a, b) {
-                (None, None) => true,
-                (Some(a), Some(b)) => {
-                    a.func == b.func
-                        && a.preds.len() == b.preds.len()
-                        && a.preds.iter().zip(&b.preds).all(|(p, q)| match (p, q) {
-                            (
-                                LeafPred::Range {
-                                    lo_incl: ali,
-                                    hi_incl: ahi,
-                                    ..
-                                },
-                                LeafPred::Range {
-                                    lo_incl: bli,
-                                    hi_incl: bhi,
-                                    ..
-                                },
-                            ) => ali == bli && ahi == bhi,
-                            (LeafPred::In(x), LeafPred::In(y)) => x.len() == y.len(),
-                            (LeafPred::NotIn(x), LeafPred::NotIn(y)) => x.len() == y.len(),
-                            (LeafPred::IsNull, LeafPred::IsNull) => true,
-                            (LeafPred::IsNotNull, LeafPred::IsNotNull) => true,
-                            _ => false,
-                        })
-                }
-                _ => false,
-            })
-    }
-
     /// Visit every literal `f64` of the query in a deterministic flat order:
     /// columns in index order, predicates in registration order, and within
     /// a predicate `Range` lo then hi, then `In`/`NotIn` elements in order.
     /// [`SpnQuery::for_each_literal_mut`] walks the identical sequence, so a
-    /// flat index recorded against one shape-equal query addresses the same
-    /// literal in another.
+    /// flat index recorded by one walk addresses the same literal in the
+    /// other — on the query itself or on any clone of it.
     pub fn for_each_literal(&self, mut f: impl FnMut(f64)) {
         for slot in self.slots.iter().flatten() {
             for p in &slot.preds {
