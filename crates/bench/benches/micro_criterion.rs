@@ -5,9 +5,10 @@
 //! * AQP latency (§6.2: ≤31 ms Flights, ≤293 ms SSB),
 //! * RSPN update throughput (§6.1: ~55k tuples/s),
 //! * SPN inference and ground-truth executor baselines for context,
-//! * `batched_vs_recursive`: the arena [`BatchEvaluator`] against the
-//!   recursive oracle at batch sizes 1/16/256, with a machine-readable
-//!   `BENCH_spn_batch.json` summary so the perf trajectory is tracked.
+//! * `batched_vs_recursive`: one inline arena sweep (`WorkerPool::sweep`)
+//!   against the recursive oracle at batch sizes 1/16/256, with a
+//!   machine-readable `BENCH_spn_batch.json` summary so the perf trajectory
+//!   is tracked.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use deepdb_bench::default_ensemble_params;
@@ -15,7 +16,8 @@ use deepdb_core::compile::estimate_cardinality;
 use deepdb_core::{execute_aqp, EnsembleBuilder};
 use deepdb_data::{flights, imdb, joblight, Scale};
 use deepdb_spn::{
-    BatchEvaluator, ColumnMeta, CompiledSpn, DataView, LeafFunc, LeafPred, Spn, SpnParams, SpnQuery,
+    ColumnMeta, CompiledSpn, DataView, LeafFunc, LeafPred, Spn, SpnParams, SpnQuery, SweepJob,
+    WorkerPool,
 };
 use deepdb_storage::{execute_with_indexes, Indexes, Value};
 
@@ -199,7 +201,15 @@ fn median_ns_per_query(reps: usize, batch: usize, mut f: impl FnMut() -> f64) ->
 
 fn bench_batched_vs_recursive(c: &mut Criterion) {
     let (mut spn, compiled, queries) = spn_batch_fixture();
-    let mut ev = BatchEvaluator::new();
+    let pool = WorkerPool::new();
+    // One inline sweep of a batch, SIMD or scalar kernels.
+    let sweep = |batch: &[SpnQuery], scalar: bool| {
+        let mut out = vec![0.0; batch.len()];
+        let mut job = SweepJob::expect(&compiled, batch, &mut out);
+        job.scalar = scalar;
+        pool.sweep([job], 1);
+        out
+    };
     let sizes = [1usize, 16, 256];
 
     let mut summary = Vec::new();
@@ -210,8 +220,8 @@ fn bench_batched_vs_recursive(c: &mut Criterion) {
 
         // The determinism contract the speedup rests on: SIMD kernels are
         // bitwise equal to the scalar reference path.
-        let simd = ev.evaluate(&compiled, &batch);
-        let scalar = ev.evaluate_scalar(&compiled, &batch);
+        let simd = sweep(&batch, false);
+        let scalar = sweep(&batch, true);
         for (i, (a, b)) in simd.iter().zip(&scalar).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "batch {size}, query {i}");
         }
@@ -226,11 +236,11 @@ fn bench_batched_vs_recursive(c: &mut Criterion) {
             })
         });
         c.bench_function(&format!("batched_vs_recursive/batched_{size}"), |b| {
-            b.iter(|| ev.evaluate(&compiled, &batch))
+            b.iter(|| sweep(&batch, false))
         });
         c.bench_function(
             &format!("batched_vs_recursive/batched_scalar_{size}"),
-            |b| b.iter(|| ev.evaluate_scalar(&compiled, &batch)),
+            |b| b.iter(|| sweep(&batch, true)),
         );
 
         // Machine-readable summary (median of 64 runs each).
@@ -241,8 +251,8 @@ fn bench_batched_vs_recursive(c: &mut Criterion) {
             }
             acc
         });
-        let bat_ns = median_ns_per_query(64, size, || ev.evaluate(&compiled, &batch)[0]);
-        let sca_ns = median_ns_per_query(64, size, || ev.evaluate_scalar(&compiled, &batch)[0]);
+        let bat_ns = median_ns_per_query(64, size, || sweep(&batch, false)[0]);
+        let sca_ns = median_ns_per_query(64, size, || sweep(&batch, true)[0]);
         summary.push((size, rec_ns, bat_ns, sca_ns));
     }
 

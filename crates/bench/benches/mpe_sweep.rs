@@ -1,11 +1,11 @@
-//! `mpe_batch`: compiled batched max-product inference (the classification
+//! `mpe_sweep`: compiled batched max-product inference (the classification
 //! serving path) vs. per-row recursive MPE, at batch sizes 1/16/256.
 //!
 //! The compiled path sweeps the arena once per 32-probe tile with predicate
 //! normalization hoisted per probe and resolves winning branches against the
 //! arena's cached leaf modes; the recursive baseline walks the `Node` tree
 //! per prediction, re-normalizing predicates at every leaf visit. The JSON
-//! summary (`BENCH_mpe_batch.json`) records ns/prediction for the SIMD
+//! summary (`BENCH_mpe_sweep.json`) records ns/prediction for the SIMD
 //! compiled path, its scalar-kernel twin, and the recursive baseline per
 //! batch size so the trajectory is machine-checkable; `DEEPDB_FAST=1`
 //! shrinks the model and rep counts for the CI smoke run. The bench asserts
@@ -14,7 +14,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deepdb_spn::{
-    ColumnMeta, DataView, LeafPred, MaxProductEvaluator, MpeProbe, Spn, SpnParams, SpnQuery,
+    ColumnMeta, DataView, LeafPred, MpeOutcome, MpeProbe, Spn, SpnParams, SpnQuery, SweepJob,
+    WorkerPool,
 };
 
 fn fast() -> bool {
@@ -85,7 +86,7 @@ fn median_ns<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     samples[samples.len() / 2]
 }
 
-fn bench_mpe_batch(c: &mut Criterion) {
+fn bench_mpe_sweep(c: &mut Criterion) {
     let n = if fast() { 4_000 } else { 30_000 };
     let reps = if fast() { 9 } else { 31 };
     let (cols, meta) = training_data(n, 0xBEEF ^ n as u64);
@@ -100,11 +101,20 @@ fn bench_mpe_batch(c: &mut Criterion) {
     let model_nodes = spn.size();
     let probes = probe_batch(256, 0xD00D);
 
+    // One inline max-product sweep, SIMD or scalar kernels.
+    let pool = WorkerPool::new();
+    let sweep = |probes: &[MpeProbe], scalar: bool| {
+        let mut out = vec![MpeOutcome::default(); probes.len()];
+        let mut job = SweepJob::mpe(&arena, probes, &mut out);
+        job.scalar = scalar;
+        pool.sweep([job], 1);
+        out
+    };
+
     // Acceptance first: compiled ≡ recursive on every probe, and the SIMD
     // kernels ≡ the scalar reference path bitwise.
-    let mut ev = MaxProductEvaluator::new();
-    let compiled_out = ev.evaluate(&arena, &probes);
-    let scalar_out = ev.evaluate_scalar(&arena, &probes);
+    let compiled_out = sweep(&probes, false);
+    let scalar_out = sweep(&probes, true);
     for (i, p) in probes.iter().enumerate() {
         let (score, value) = spn.mpe_outcome(p.target, &p.query);
         assert_eq!(compiled_out[i].value, value, "probe {i}: paths diverged");
@@ -119,13 +129,13 @@ fn bench_mpe_batch(c: &mut Criterion) {
     let mut rows = Vec::new();
     for batch in [1usize, 16, 256] {
         let slice = &probes[..batch];
-        c.bench_function(&format!("mpe_batch/{batch}/compiled"), |b| {
-            b.iter(|| ev.evaluate(&arena, slice))
+        c.bench_function(&format!("mpe_sweep/{batch}/compiled"), |b| {
+            b.iter(|| sweep(slice, false))
         });
-        c.bench_function(&format!("mpe_batch/{batch}/compiled_scalar"), |b| {
-            b.iter(|| ev.evaluate_scalar(&arena, slice))
+        c.bench_function(&format!("mpe_sweep/{batch}/compiled_scalar"), |b| {
+            b.iter(|| sweep(slice, true))
         });
-        c.bench_function(&format!("mpe_batch/{batch}/recursive"), |b| {
+        c.bench_function(&format!("mpe_sweep/{batch}/recursive"), |b| {
             b.iter(|| {
                 slice
                     .iter()
@@ -133,8 +143,8 @@ fn bench_mpe_batch(c: &mut Criterion) {
                     .collect::<Vec<_>>()
             })
         });
-        let compiled_ns = median_ns(reps, || ev.evaluate(&arena, slice)) / batch as f64;
-        let scalar_ns = median_ns(reps, || ev.evaluate_scalar(&arena, slice)) / batch as f64;
+        let compiled_ns = median_ns(reps, || sweep(slice, false)) / batch as f64;
+        let scalar_ns = median_ns(reps, || sweep(slice, true)) / batch as f64;
         let recursive_ns = median_ns(reps, || {
             slice
                 .iter()
@@ -145,7 +155,7 @@ fn bench_mpe_batch(c: &mut Criterion) {
     }
 
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut json = String::from("{\n  \"bench\": \"mpe_batch\",\n");
+    let mut json = String::from("{\n  \"bench\": \"mpe_sweep\",\n");
     json.push_str(&format!("  \"host_parallelism\": {host},\n"));
     json.push_str(&format!("  \"model_nodes\": {model_nodes},\n"));
     json.push_str(&format!("  \"training_rows\": {n},\n"));
@@ -162,7 +172,7 @@ fn bench_mpe_batch(c: &mut Criterion) {
         ));
     }
     json.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_mpe_batch.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_mpe_sweep.json");
     if let Err(e) = std::fs::write(path, &json) {
         eprintln!("could not write {path}: {e}");
     }
@@ -178,6 +188,6 @@ criterion_group! {
             .measurement_time(std::time::Duration::from_secs(secs))
             .warm_up_time(std::time::Duration::from_millis(if fast() { 100 } else { 500 }))
     };
-    targets = bench_mpe_batch
+    targets = bench_mpe_sweep
 }
 criterion_main!(benches);

@@ -70,11 +70,10 @@ fn grouped_fixture() -> (Database, Ensemble, usize) {
         },
         ..EnsembleParams::default()
     };
-    let mut ens = EnsembleBuilder::new(&db)
+    let ens = EnsembleBuilder::new(&db)
         .params(params)
         .build()
         .expect("ensemble");
-    ens.recompile_models();
     let model_nodes = ens.rspns()[0].model_size();
     (db, ens, model_nodes)
 }
@@ -127,12 +126,15 @@ fn bench_probe_plan_groupby(c: &mut Criterion) {
     let mut rows = Vec::new();
     for &n_groups in &group_sizes {
         let plan = build_plan(&ens, &db, n_groups);
+        let mut results = plan.blank_results();
         let mut per_thread = Vec::new();
         for &threads in &thread_counts {
             c.bench_function(&format!("probe_plan_groupby/{n_groups}g_{threads}t"), |b| {
-                b.iter(|| plan.execute_with_threads(&ens, threads))
+                b.iter(|| plan.execute_into(&ens, threads, None, None, &mut results))
             });
-            let ns = median_ns(reps, || plan.execute_with_threads(&ens, threads));
+            let ns = median_ns(reps, || {
+                plan.execute_into(&ens, threads, None, None, &mut results)
+            });
             per_thread.push((threads, ns));
         }
         rows.push((n_groups, per_thread));
@@ -142,7 +144,8 @@ fn bench_probe_plan_groupby(c: &mut Criterion) {
     let rspn = &ens.rspns()[0];
     let mut sanity = ProbePlan::new();
     let h = sanity.register(0, rspn.new_query());
-    let results = sanity.execute_with_threads(&ens, 2);
+    let mut results = sanity.blank_results();
+    sanity.execute_into(&ens, 2, None, None, &mut results);
     assert!(results.value(h).is_finite());
 
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());

@@ -19,7 +19,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deepdb_spn::{
-    BatchEvaluator, ColumnMeta, CompiledSpn, DataView, LeafPred, Spn, SpnParams, SpnQuery,
+    ActiveSet, ColumnMeta, CompiledSpn, DataView, LeafPred, Spn, SpnParams, SpnQuery, SweepJob,
+    WorkerPool,
 };
 
 fn fast() -> bool {
@@ -104,10 +105,19 @@ fn bench_sweep_prune(c: &mut Criterion) {
     for (name, queries, columns) in &workloads {
         let active = arena.active_set(columns);
 
+        // One inline sweep, full or pruned, as a probe plan runs it.
+        let pool = WorkerPool::new();
+        let sweep = |active: Option<&ActiveSet>| {
+            let mut out = vec![0.0; queries.len()];
+            let mut job = SweepJob::expect(&arena, queries, &mut out);
+            job.active = active;
+            pool.sweep([job], 1);
+            out
+        };
+
         // Acceptance first: pruned ≡ full, bitwise, on every query.
-        let mut ev = BatchEvaluator::new();
-        let full = ev.evaluate(&arena, queries);
-        let pruned = ev.evaluate_pruned(&arena, queries, &active);
+        let full = sweep(None);
+        let pruned = sweep(Some(&active));
         for (i, (p, f)) in pruned.iter().zip(&full).enumerate() {
             assert_eq!(
                 p.to_bits(),
@@ -117,15 +127,14 @@ fn bench_sweep_prune(c: &mut Criterion) {
         }
 
         c.bench_function(&format!("sweep_prune/{name}/full"), |b| {
-            b.iter(|| std::hint::black_box(ev.evaluate(&arena, queries)))
+            b.iter(|| std::hint::black_box(sweep(None)))
         });
-        let full_ns = median_ns(reps, || ev.evaluate(&arena, queries)) / BATCH as f64;
+        let full_ns = median_ns(reps, || sweep(None)) / BATCH as f64;
 
         c.bench_function(&format!("sweep_prune/{name}/pruned"), |b| {
-            b.iter(|| std::hint::black_box(ev.evaluate_pruned(&arena, queries, &active)))
+            b.iter(|| std::hint::black_box(sweep(Some(&active))))
         });
-        let pruned_ns =
-            median_ns(reps, || ev.evaluate_pruned(&arena, queries, &active)) / BATCH as f64;
+        let pruned_ns = median_ns(reps, || sweep(Some(&active))) / BATCH as f64;
 
         rows.push((*name, active.active_fraction(), full_ns, pruned_ns));
     }

@@ -18,8 +18,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use deepdb_spn::{
-    BatchEvaluator, ColumnMeta, DataView, LeafFunc, LeafPred, Spn, SpnParams, SpnQuery,
+    ColumnMeta, CompiledSpn, DataView, LeafFunc, LeafPred, Spn, SpnParams, SpnQuery, SweepJob,
+    WorkerPool,
 };
+
+/// One inline sweep of `probes` against `arena`.
+fn sweep(pool: &WorkerPool, arena: &CompiledSpn, probes: &[SpnQuery]) -> Vec<f64> {
+    let mut out = vec![0.0; probes.len()];
+    pool.sweep([SweepJob::expect(arena, probes, &mut out)], 1);
+    out
+}
 
 fn fast() -> bool {
     std::env::var("DEEPDB_FAST").is_ok_and(|v| v == "1")
@@ -135,7 +143,7 @@ fn bench_update_stream(c: &mut Criterion) {
         let mut baseline = patched.clone();
         let mut arena = patched.compile();
         let model_nodes = patched.size();
-        let mut ev = BatchEvaluator::new();
+        let pool = WorkerPool::new();
         let tuples = update_batch(batch, 0xD00D ^ n as u64);
 
         // One interleaved round per rep: absorb the batch, answer the probe
@@ -145,7 +153,7 @@ fn bench_update_stream(c: &mut Criterion) {
         c.bench_function(&format!("update_stream/{label}/patch"), |b| {
             b.iter(|| {
                 patched.insert_batch(&mut arena, &tuples);
-                let r = ev.evaluate(&arena, &probes);
+                let r = sweep(&pool, &arena, &probes);
                 patched.delete_batch(&mut arena, &tuples);
                 r
             })
@@ -156,7 +164,7 @@ fn bench_update_stream(c: &mut Criterion) {
                     baseline.insert(t);
                 }
                 let compiled = baseline.compile();
-                let r = ev.evaluate(&compiled, &probes);
+                let r = sweep(&pool, &compiled, &probes);
                 for t in &tuples {
                     baseline.delete(t);
                 }
@@ -187,8 +195,8 @@ fn bench_update_stream(c: &mut Criterion) {
             arena.bitwise_eq(&patched.compile()),
             "{label}: patch drifted"
         );
-        let want = ev.evaluate(&baseline.compile(), &probes);
-        let got = ev.evaluate(&arena, &probes);
+        let want = sweep(&pool, &baseline.compile(), &probes);
+        let got = sweep(&pool, &arena, &probes);
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits(), "{label}: paths diverged");

@@ -60,24 +60,24 @@
 //! [`PreparedQuery`]: planning, translation, and bind reading happen once;
 //! [`PreparedQuery::execute`] only rewrites the bound literal slots in a
 //! pre-sized plan and runs one inline fused sweep per member
-//! ([`ProbePlan::execute_into`] over a reusable
-//! [`InlineSweep`]) into pre-sized results — **zero allocations** in steady
-//! state. Non-bindable shapes still prepare, but plan cold per execution
-//! (see [`PreparedQuery::is_bound`]).
+//! ([`ProbePlan::execute_into`] with `threads = 1`, on the calling thread's
+//! grow-only sweep scratch) into pre-sized results — **zero allocations**
+//! in steady state. Non-bindable shapes still prepare, but plan cold per
+//! execution (see [`PreparedQuery::is_bound`]).
 //!
 //! # Invalidation
 //!
 //! Every cache key embeds the ensemble's **plan epoch**
-//! ([`Ensemble::plan_epoch`]), bumped by `recompile_models` and every
-//! coverage-/count-changing maintenance operation (inserts, deletes, join
-//! count refreshes). Stale entries can never hit again and die lazily
-//! through LRU eviction; a [`PreparedQuery`] from an old epoch fails its
-//! next `execute` with [`DeepDbError::StalePlan`].
+//! ([`Ensemble::plan_epoch`]), bumped by every coverage-/count-changing
+//! maintenance operation (inserts, deletes, join count refreshes). Stale
+//! entries can never hit again and die lazily through LRU eviction; a
+//! [`PreparedQuery`] from an old epoch fails its next `execute` with
+//! [`DeepDbError::StalePlan`].
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
-use deepdb_spn::{ActiveSet, InlineSweep};
+use deepdb_spn::ActiveSet;
 use deepdb_storage::{
     Aggregate, CmpOp, ColId, ColumnRef, Database, PredOp, Predicate, Query, TableId, Value,
 };
@@ -665,7 +665,7 @@ impl PlanCache {
 
     /// Cached pruning set for `(member, columns)` at `epoch`. The first
     /// access at a new epoch clears the table — every maintenance op bumps
-    /// the epoch, so a recompiled arena can never be swept with a stale set.
+    /// the epoch, so a changed arena can never be swept with a stale set.
     fn active_lookup(
         &self,
         epoch: u64,
@@ -873,10 +873,9 @@ pub(crate) fn covering_member(
 /// once per `(member, columns)` shape per plan epoch and shared via `Arc`.
 /// Sets live in an epoch-stamped side table of the [`PlanCache`] (so they
 /// never evict plan artifacts and their lookups don't skew plan hit/miss
-/// stats): any maintenance operation (recompile, insert, delete, join-count
-/// refresh) bumps the epoch, and the first access at a new epoch drops every
-/// cached set — which matters because recompiles may change the arena's node
-/// count and layout.
+/// stats): any maintenance operation (insert, delete, join-count refresh)
+/// bumps the epoch, and the first access at a new epoch drops every cached
+/// set, so a set is never reused for an arena it was not built from.
 ///
 /// **Bitwise contract**: a sweep pruned by the returned set is bitwise
 /// identical to the full sweep for every probe whose constrained and target
@@ -959,7 +958,7 @@ pub(crate) fn ml_prelude(
 /// A query prepared once, executable many times with different literals.
 ///
 /// Created by [`Ensemble::prepare`]. The bound form holds a working
-/// [`ProbePlan`] clone, pre-sized results, and a reusable inline sweep:
+/// [`ProbePlan`] clone (with its pruning sets pinned) and pre-sized results:
 /// [`PreparedQuery::execute`] rewrites the bound literal slots in place,
 /// runs one fused inline sweep per touched member, and resolves — **zero
 /// planning work and zero allocations** in steady state. Non-bindable
@@ -977,15 +976,11 @@ pub struct PreparedQuery {
 enum PreparedInner {
     Bound {
         artifact: Arc<PlanArtifact>,
+        /// Pruning sets pinned at prepare time (column shapes never change
+        /// across rebinds), so steady-state executions prune with zero
+        /// discovery work.
         plan: ProbePlan,
         results: ProbeResults,
-        /// One sweep (with its grow-only leaf-value tables) per plan member,
-        /// so alternating members never reshapes shared scratch.
-        sweeps: Vec<InlineSweep>,
-        /// One pruning active set per plan member, pinned at prepare time
-        /// (column shapes never change across rebinds), so steady-state
-        /// executions prune with zero discovery work.
-        actives: Vec<Arc<ActiveSet>>,
     },
     Fallback {
         query: Query,
@@ -1014,18 +1009,12 @@ pub(crate) fn prepare(
         Some(artifact) => {
             let mut plan = artifact.plan.clone();
             plan.rebind_literals(&artifact.binds, &literals);
+            plan.pin_active_sets(ens);
             let results = plan.blank_results();
-            let actives = plan
-                .member_columns()
-                .iter()
-                .map(|(member, cols)| active_set_for(ens, *member, cols))
-                .collect();
             PreparedInner::Bound {
                 artifact,
                 plan,
                 results,
-                sweeps: Vec::new(),
-                actives,
             }
         }
         None => {
@@ -1070,11 +1059,9 @@ impl PreparedQuery {
                 artifact,
                 plan,
                 results,
-                sweeps,
-                actives,
             } => {
                 plan.rebind_literals(&artifact.binds, literals);
-                plan.execute_into(ens, sweeps, actives, results);
+                plan.execute_into(ens, 1, None, None, results);
                 artifact.resolver.resolve_single(results)
             }
             PreparedInner::Fallback { query, kind } => {

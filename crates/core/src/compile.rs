@@ -33,8 +33,7 @@
 //! only as the differential-test oracle [`crate::combine::multi_rspn_count`].
 //!
 //! All query entry points take `&Ensemble`: the compiled engines are kept
-//! fresh in place by the update path, and structural recompilation is an
-//! explicit maintenance call ([`Ensemble::recompile_models`]).
+//! fresh in place by the update path.
 
 use std::collections::BTreeSet;
 

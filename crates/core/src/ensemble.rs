@@ -288,12 +288,12 @@ pub struct Ensemble {
     probe_threads: usize,
     /// Persistent sweep worker pool: every probe-plan execution (AQP,
     /// cardinality, classification batches) reuses these workers and their
-    /// pinned evaluator scratch instead of spawning threads per call.
+    /// pinned sweep scratch instead of spawning threads per call.
     /// Workers spawn lazily on the first parallel sweep and park between
     /// jobs. Runtime-only, not part of snapshots.
     pool: WorkerPool,
-    /// Plan-cache invalidation epoch: bumped by [`Ensemble::recompile_models`]
-    /// and every coverage-/count-changing maintenance operation. Every cache
+    /// Plan-cache invalidation epoch: bumped by every coverage-/count-changing
+    /// maintenance operation and [`Ensemble::invalidate_plans`]. Every cache
     /// key and [`crate::PreparedQuery`] embeds the epoch at creation, so
     /// stale plans can never be reused. Atomic so concurrent serving can
     /// observe (and [`Ensemble::invalidate_plans`] can bump) it through
@@ -434,28 +434,6 @@ impl Ensemble {
         self.rspns.iter().map(Rspn::model_size).sum()
     }
 
-    /// Recompile any RSPN arena engine that was structurally invalidated —
-    /// the **explicit maintenance entry point** of the engine lifecycle.
-    /// Updates ([`Ensemble::apply_insert`] / [`Ensemble::apply_delete`] and
-    /// the batched [`Ensemble::apply_insert_batch`]) patch the compiled
-    /// arenas **in place**, so in steady state this is a no-op; call it
-    /// after an operation that reports structural invalidation (future
-    /// drift-driven adaptation, external model surgery). The query surface
-    /// (`compile`/`aqp`/`ml`) is entirely `&Ensemble` and never recompiles
-    /// behind your back.
-    ///
-    /// **Epoch contract:** recompilation may change model structure, so this
-    /// bumps the plan epoch — every cached plan artifact and outstanding
-    /// [`crate::PreparedQuery`] becomes stale (the latter fail their next
-    /// `execute` with [`DeepDbError::StalePlan`]; cached artifacts simply
-    /// never hit again and age out of the LRU).
-    pub fn recompile_models(&mut self) {
-        for rspn in &mut self.rspns {
-            rspn.ensure_compiled();
-        }
-        self.bump_plan_epoch();
-    }
-
     /// Cap the worker threads used to execute probe plans; `0` restores the
     /// default (available parallelism).
     pub fn set_probe_threads(&mut self, threads: usize) {
@@ -474,25 +452,22 @@ impl Ensemble {
     }
 
     /// The ensemble's persistent sweep worker pool. Probe-plan execution
-    /// submits its fused sweeps here; the workers (and their pinned
-    /// evaluator scratch) live as long as the ensemble and park idle
-    /// between jobs.
+    /// submits its fused sweeps here; the workers (and their pinned sweep
+    /// scratch) live as long as the ensemble and park idle between jobs.
     pub fn worker_pool(&self) -> &WorkerPool {
         &self.pool
     }
 
     /// Execute a [`crate::ProbePlan`]: one fused arena sweep per touched
     /// member with tiles spread over the probe-thread budget. Pure `&self`
-    /// — updates keep the engines patched in place, and structural
-    /// recompilation is the caller's explicit
-    /// [`Ensemble::recompile_models`] maintenance call.
+    /// — updates keep the engines patched in place.
     pub fn execute_plan(&self, plan: &crate::ProbePlan) -> crate::ProbeResults {
         plan.execute(self)
     }
 
-    /// Current plan-cache invalidation epoch. Bumped by
-    /// [`Ensemble::recompile_models`] and every update/maintenance call;
-    /// cache keys and [`crate::PreparedQuery`] handles embed it.
+    /// Current plan-cache invalidation epoch. Bumped by every
+    /// update/maintenance call; cache keys and [`crate::PreparedQuery`]
+    /// handles embed it.
     pub fn plan_epoch(&self) -> u64 {
         self.plan_epoch.load(Ordering::Acquire)
     }
@@ -505,9 +480,9 @@ impl Ensemble {
     /// cached plan artifact and outstanding [`crate::PreparedQuery`] without
     /// touching the models — the escape hatch for external model surgery
     /// and the chaos harness's mid-flight "maintenance landed" injection.
-    /// Regular maintenance ([`Ensemble::recompile_models`], the update
-    /// entry points) bumps the epoch itself; calling this as well is
-    /// harmless (plans just go stale twice).
+    /// Regular maintenance (the update entry points) bumps the epoch
+    /// itself; calling this as well is harmless (plans just go stale
+    /// twice).
     pub fn invalidate_plans(&self) {
         self.bump_plan_epoch();
     }

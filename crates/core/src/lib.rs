@@ -16,8 +16,7 @@
 //! * [`compile`] — probabilistic query compilation of COUNT/SUM/AVG
 //!   (+ GROUP BY) queries into products of expectations over the ensemble,
 //!   covering the paper's Cases 1–3 including Theorems 1 and 2 (§4). All
-//!   query entry points take `&Ensemble`; structural recompilation is an
-//!   explicit maintenance call ([`Ensemble::recompile_models`]).
+//!   query entry points take `&Ensemble`.
 //! * [`combine`] — symbolic Case-3 planning: when no single RSPN covers the
 //!   query, a `CombinePlan` walks the FK graph once, registers **all**
 //!   extension steps' fraction bundles on the caller's probe plan, and
@@ -28,8 +27,9 @@
 //!   (expectations **and** max-product MPE probes) against ensemble members
 //!   and resolve typed handles after a single `execute()`, which sweeps each
 //!   touched member's compiled arena exactly once — both probe kinds ride
-//!   the same sweep — with members/tiles evaluated concurrently on scoped
-//!   threads.
+//!   the same sweep — through `deepdb_spn::WorkerPool::sweep`, the one
+//!   sweep entry point: inline for small plans and prepared queries,
+//!   members/tiles spread over the ensemble's worker pool otherwise.
 //! * [`Estimate`] — point estimates with variances propagated per §5.1,
 //!   yielding confidence intervals.
 //! * ML tasks (regression via conditional expectation, classification via

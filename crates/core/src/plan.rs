@@ -15,14 +15,14 @@
 //!    handles (plain indices; no borrow of the ensemble is kept);
 //! 2. **fuse** — the plan groups probes by member, preserving registration
 //!    order within each member and probe kind;
-//! 3. **sweep** — [`ProbePlan::execute`] runs **one fused sweep per touched
-//!    member** covering both probe kinds, with the tiles of all members
-//!    load-balanced across the ensemble's **persistent worker pool**
-//!    ([`deepdb_spn::WorkerPool`], owned by
-//!    [`Ensemble`](crate::Ensemble)): workers keep pinned evaluator
-//!    scratch, claim tiles off an atomic cursor, and park between plans, so
-//!    repeated plan executions pay no spawn cost; members and tiles
-//!    evaluate concurrently, results are bitwise identical for any thread
+//! 3. **sweep** — [`ProbePlan::execute_into`] (and its allocating wrapper
+//!    [`ProbePlan::execute`]) runs **one fused sweep per touched member**
+//!    covering both probe kinds, as one [`SweepJob`] per member handed to
+//!    the ensemble's [`deepdb_spn::WorkerPool::sweep`]. Small plans and
+//!    prepared queries sweep inline on the calling thread; larger plans
+//!    load-balance the tiles of all members across the pool's persistent
+//!    workers, which keep pinned scratch, claim tiles off an atomic cursor,
+//!    and park between plans. Results are bitwise identical for any thread
 //!    count;
 //! 4. **resolve** — handles index into the returned [`ProbeResults`]
 //!    ([`ProbeResults::value`] for expectations, [`ProbeResults::mpe_value`]
@@ -117,6 +117,9 @@ pub struct ProbePlan {
     id: u64,
     /// Per-member batches in first-registration order of the member.
     members: Vec<MemberProbes>,
+    /// One pruning set per member, in member order, pinned by
+    /// [`ProbePlan::pin_active_sets`]; empty = look them up per execution.
+    actives: Vec<Arc<ActiveSet>>,
 }
 
 impl Default for ProbePlan {
@@ -130,10 +133,14 @@ impl ProbePlan {
         Self {
             id: PLAN_IDS.fetch_add(1, Ordering::Relaxed),
             members: Vec::new(),
+            actives: Vec::new(),
         }
     }
 
+    /// The probe batch of `member`, created on first use. New probes may
+    /// widen a member's column union, so any pinned pruning sets go.
     fn member_entry(&mut self, member: usize) -> &mut MemberProbes {
+        self.actives.clear();
         match self.members.iter().position(|m| m.member == member) {
             Some(i) => &mut self.members[i],
             None => {
@@ -208,98 +215,86 @@ impl ProbePlan {
         self.members.is_empty()
     }
 
-    /// Execute the plan: one fused arena sweep per touched member, tiles
-    /// parallelized over the ensemble's probe-thread budget. Every member's
-    /// engine must be compiled — updates patch the arenas in place, so this
-    /// holds in steady state; after a structural invalidation run the
-    /// explicit maintenance call [`Ensemble::recompile_models`] first.
+    /// Execute the plan into fresh results: [`ProbePlan::execute_into`]
+    /// over the ensemble's probe-thread budget, without hooks.
     pub fn execute(&self, ens: &Ensemble) -> ProbeResults {
-        self.execute_with_threads(ens, ens.probe_thread_budget())
+        let mut results = self.blank_results();
+        self.execute_into(ens, 0, None, None, &mut results);
+        results
     }
 
-    /// Like [`ProbePlan::execute`] with an explicit worker-thread cap
-    /// (`0` = the ensemble's budget). `threads <= 1` runs inline; results
-    /// are identical either way.
-    pub fn execute_with_threads(&self, ens: &Ensemble, threads: usize) -> ProbeResults {
-        self.execute_guarded(ens, threads, None, None)
-    }
-
-    /// Like [`ProbePlan::execute_with_threads`], with serving hooks: a
-    /// cooperative [`CancelFlag`] checked at every tile claim (deadline
-    /// enforcement — a cancelled execution's outputs are garbage, so the
-    /// caller must check the flag before trusting them) and a
-    /// deterministic tile fault hook (chaos testing). With both `None`
-    /// this *is* `execute_with_threads`, bitwise.
-    pub fn execute_guarded(
+    /// The plan runner: one fused arena sweep per touched member, written
+    /// into `results` (from [`ProbePlan::blank_results`]; reusable across
+    /// executions of the same plan, which then allocate nothing).
+    ///
+    /// `threads` caps the sweep threads (`0` = the ensemble's budget);
+    /// `threads <= 1`, and any plan of at most one tile's worth of probes,
+    /// sweeps inline on the calling thread. Results are identical either
+    /// way. `cancel` is checked at every tile claim (deadline enforcement —
+    /// a cancelled execution's outputs are garbage, so the caller must
+    /// check the flag before trusting them) and `fault` fires at every tile
+    /// start (chaos testing).
+    ///
+    /// Query-scoped pruning: each member sweeps only the sub-DAG whose scope
+    /// intersects its batch's constrained/target columns, seeding the
+    /// boundary from the arena's neutral tables (bitwise identical to the
+    /// full sweep). The sets are the ones a prepared query pinned on the
+    /// plan, else come from the plan cache's shape-keyed side table; with
+    /// the cache disabled the cold path stays honest and sweeps in full.
+    pub fn execute_into(
         &self,
         ens: &Ensemble,
         threads: usize,
         cancel: Option<&CancelFlag>,
         fault: Option<&TileFaultFn<'_>>,
-    ) -> ProbeResults {
-        let mut results: Vec<MemberResults> = self
-            .members
-            .iter()
-            .map(|m| MemberResults {
-                member: m.member,
-                values: vec![0.0; m.expect.len()],
-                mpe: vec![MpeOutcome::default(); m.mpe.len()],
-            })
-            .collect();
-        let threads = if threads == 0 {
-            ens.probe_thread_budget()
-        } else {
-            threads
-        };
+        results: &mut ProbeResults,
+    ) {
+        assert_eq!(results.plan, self.id, "results belong to a different plan");
         // Waking workers is only worth it once there is more than one
         // tile's worth of work — tiny plans (scalar COUNT/AVG/SUM bundles,
         // single predictions, even across several members) run inline.
-        let threads = if self.n_probes() <= SWEEP_TILE {
-            1
-        } else {
-            threads
+        let threads = match threads {
+            _ if self.n_probes() <= SWEEP_TILE => 1,
+            0 => ens.probe_thread_budget(),
+            t => t,
         };
-        // Query-scoped pruning: sweep only the sub-DAG whose scope
-        // intersects the batch's constrained/target columns, seeding the
-        // boundary from the arena's neutral tables (bitwise identical to the
-        // full sweep). The active sets are shape-keyed in the plan cache, so
-        // the steady-state serving path pays no per-query discovery; with
-        // the cache disabled the cold path stays honest and sweeps in full.
-        let actives: Vec<Option<Arc<ActiveSet>>> = if ens.plan_cache().enabled() {
-            self.members
-                .iter()
-                .map(|m| {
-                    Some(crate::cache::active_set_for(
-                        ens,
-                        m.member,
-                        &m.constrained_columns(),
-                    ))
-                })
-                .collect()
+        let looked_up: Vec<Arc<ActiveSet>>;
+        let actives: &[Arc<ActiveSet>] = if !self.actives.is_empty() {
+            &self.actives
+        } else if ens.plan_cache().enabled() {
+            looked_up = self.looked_up_active_sets(ens);
+            &looked_up
         } else {
-            vec![None; self.members.len()]
+            &[]
         };
-        let jobs: Vec<SweepJob<'_>> = self
-            .members
-            .iter()
-            .zip(results.iter_mut())
-            .zip(actives.iter())
-            .map(|((m, r), a)| SweepJob {
-                spn: ens.rspns()[m.member].engine(),
-                queries: &m.expect,
-                out: &mut r.values,
-                mpe: &m.mpe,
-                mpe_out: &mut r.mpe,
-                cancel,
-                fault,
-                active: a.as_deref(),
-            })
-            .collect();
+        let jobs = self.members.iter().zip(&mut results.members).enumerate();
+        let jobs = jobs.map(|(i, (m, r))| SweepJob {
+            spn: ens.rspns()[m.member].engine(),
+            queries: &m.expect,
+            out: &mut r.values,
+            mpe: &m.mpe,
+            mpe_out: &mut r.mpe,
+            cancel,
+            fault,
+            active: actives.get(i).map(|a| &**a),
+            scalar: false,
+        });
         ens.worker_pool().sweep(jobs, threads);
-        ProbeResults {
-            plan: self.id,
-            members: results,
-        }
+    }
+
+    /// One cache-routed pruning set per member, in member order.
+    fn looked_up_active_sets(&self, ens: &Ensemble) -> Vec<Arc<ActiveSet>> {
+        self.members
+            .iter()
+            .map(|m| crate::cache::active_set_for(ens, m.member, &m.constrained_columns()))
+            .collect()
+    }
+
+    /// Pin one pruning set per member for every later execution — done once
+    /// at prepare time, since rebinding literals never changes which columns
+    /// a plan constrains. Registering further probes unpins.
+    pub(crate) fn pin_active_sets(&mut self, ens: &Ensemble) {
+        self.actives = self.looked_up_active_sets(ens);
     }
 
     /// Cross-query fusion: append every probe of `other` into this plan's
@@ -368,8 +363,8 @@ impl ProbePlan {
     }
 
     /// A pre-sized result holder for [`ProbePlan::execute_into`] — allocate
-    /// once at prepare time, reuse for every execution.
-    pub(crate) fn blank_results(&self) -> ProbeResults {
+    /// once, reuse for every execution of this plan.
+    pub fn blank_results(&self) -> ProbeResults {
         ProbeResults {
             plan: self.id,
             members: self
@@ -382,60 +377,6 @@ impl ProbePlan {
                 })
                 .collect(),
         }
-    }
-
-    /// Execute the plan inline on the calling thread into pre-sized
-    /// `results`, reusing grow-only sweep scratch: the zero-allocation hot
-    /// path of a [`PreparedQuery`](crate::PreparedQuery). One fused sweep
-    /// per touched member, each member owning its own [`InlineSweep`] so the
-    /// leaf-value tables keep their per-model shape across executions
-    /// (sharing one table across differently-shaped models would realloc on
-    /// every alternation). Bitwise identical to [`ProbePlan::execute`] (the
-    /// per-tile arithmetic is shared with the pooled path).
-    /// `actives` carries one pruning [`ActiveSet`] per plan member in member
-    /// order (as built by [`ProbePlan::member_columns`] at prepare time);
-    /// empty means sweep every member in full.
-    pub(crate) fn execute_into(
-        &self,
-        ens: &Ensemble,
-        sweeps: &mut Vec<deepdb_spn::InlineSweep>,
-        actives: &[Arc<ActiveSet>],
-        results: &mut ProbeResults,
-    ) {
-        assert_eq!(results.plan, self.id, "results belong to a different plan");
-        debug_assert!(
-            actives.is_empty() || actives.len() == self.members.len(),
-            "active sets must align with plan members"
-        );
-        if sweeps.len() < self.members.len() {
-            sweeps.resize_with(self.members.len(), deepdb_spn::InlineSweep::new);
-        }
-        for (i, ((m, r), sweep)) in self
-            .members
-            .iter()
-            .zip(results.members.iter_mut())
-            .zip(sweeps.iter_mut())
-            .enumerate()
-        {
-            sweep.sweep(
-                ens.rspns()[m.member].engine(),
-                &m.expect,
-                &mut r.values,
-                &m.mpe,
-                &mut r.mpe,
-                actives.get(i).map(|a| a.as_ref()),
-            );
-        }
-    }
-
-    /// `(member, constrained-column union)` per plan member, in member
-    /// order — the inputs a caller needs to pin one [`ActiveSet`] per member
-    /// (e.g. a prepared query at prepare time).
-    pub(crate) fn member_columns(&self) -> Vec<(usize, Vec<usize>)> {
-        self.members
-            .iter()
-            .map(|m| (m.member, m.constrained_columns()))
-            .collect()
     }
 }
 

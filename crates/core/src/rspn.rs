@@ -10,8 +10,8 @@
 use std::collections::{BTreeSet, HashMap};
 
 use deepdb_spn::{
-    BatchEvaluator, ColumnMeta, CompiledSpn, DataView, LeafFunc, LeafPred, MaxProductEvaluator,
-    MpeOutcome, MpeProbe, Spn, SpnParams, SpnQuery,
+    ColumnMeta, CompiledSpn, DataView, LeafFunc, LeafPred, Spn, SpnParams, SpnQuery, SweepJob,
+    WorkerPool,
 };
 use deepdb_storage::{
     CmpOp, ColId, Database, ForeignKey, JoinColumnMeta, JoinColumnRole, JoinSample, PredOp,
@@ -29,14 +29,11 @@ const MAX_GROUP_DISTINCT: usize = 4096;
 #[derive(Debug, Clone)]
 pub struct Rspn {
     spn: Spn,
-    /// Arena-compiled form of `spn` — the engine every expectation query
-    /// actually runs against. Updates patch it **in place** (lockstep with
-    /// the tree, O(depth) per tuple), so it is never stale on the hot path;
-    /// [`Rspn::ensure_compiled`] remains as a structural-change escape
-    /// hatch. Evaluation itself is `&self` so probe plans can sweep members
-    /// from worker threads.
+    /// Arena-compiled form of `spn` — the engine every query actually runs
+    /// against. Updates patch it **in place** (lockstep with the tree,
+    /// O(depth) per tuple), so it is never stale. Evaluation itself is
+    /// `&self` so probe plans can sweep members from worker threads.
     compiled: CompiledSpn,
-    compiled_dirty: bool,
     tables: Vec<TableId>,
     columns: Vec<JoinColumnMeta>,
     full_join_count: u64,
@@ -172,7 +169,6 @@ impl Rspn {
         Ok(Self {
             spn,
             compiled,
-            compiled_dirty: false,
             tables: sample.tables.clone(),
             columns,
             full_join_count: sample.full_join_count,
@@ -269,84 +265,27 @@ impl Rspn {
         SpnQuery::new(self.columns.len())
     }
 
-    /// Recompile the arena engine if something invalidated it. Since
-    /// inserts/deletes patch the arena in place, this is a **structural
-    /// escape hatch** (future structure adaptation, e.g. leaf splitting on
-    /// drift), not part of the steady-state update path — on the hot path it
-    /// is a no-op, which keeps [`Rspn::probe_passes`] counters alive across
-    /// update streams. The query surface in `compile`/`aqp`/`ml` is entirely
-    /// `&Ensemble` and never calls this; structural maintenance goes through
-    /// the explicit [`crate::Ensemble::recompile_models`] entry point.
-    pub fn ensure_compiled(&mut self) {
-        if self.compiled_dirty {
-            self.compiled = self.spn.compile();
-            self.compiled_dirty = false;
-        }
-    }
-
-    /// Whether something invalidated the compiled engine (never set by the
-    /// in-place update path; reserved for structural changes).
-    pub fn needs_recompile(&self) -> bool {
-        self.compiled_dirty
-    }
-
-    /// The compiled arena engine. Panics if updates left it stale — callers
-    /// must run [`Rspn::ensure_compiled`] (or
-    /// [`crate::Ensemble::recompile_models`]) first; evaluation deliberately
-    /// cannot recompile behind a shared reference.
+    /// The compiled arena engine every sweep of this member runs on.
     pub(crate) fn engine(&self) -> &CompiledSpn {
-        assert!(
-            !self.compiled_dirty,
-            "RSPN arena engine is stale after updates; call ensure_compiled()/recompile_models() \
-             before evaluating"
-        );
         &self.compiled
     }
 
     /// Fused arena sweeps executed against this member's compiled engine so
     /// far (diagnostics; lets tests assert probe plans touch each member
-    /// exactly once per query). Resets when updates force a recompile.
+    /// exactly once per query). In-place updates keep the engine, so the
+    /// counter survives update streams.
     pub fn probe_passes(&self) -> u64 {
         self.compiled.sweep_count()
     }
 
-    /// Evaluate an expectation on the compiled arena engine.
+    /// Evaluate one expectation as a one-job inline sweep of the compiled
+    /// arena — the eager reference that planned execution is tested
+    /// against.
     pub fn expect(&self, q: &SpnQuery) -> f64 {
-        self.expect_batch(std::slice::from_ref(q))[0]
-    }
-
-    /// Evaluate a whole batch of expectations in one fused pass over the
-    /// arena (one scratch buffer, predicate normalization hoisted per
-    /// query, SIMD semiring kernels over the query lanes) — the backbone of
-    /// probabilistic query compilation, which issues several probes per SQL
-    /// query. Scratch is thread-local, so this is `&self` and safe to call
-    /// from probe-plan worker threads.
-    pub fn expect_batch(&self, queries: &[SpnQuery]) -> Vec<f64> {
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<BatchEvaluator> =
-                std::cell::RefCell::new(BatchEvaluator::new());
-        }
-        SCRATCH.with(|ev| ev.borrow_mut().evaluate(self.engine(), queries))
-    }
-
-    /// Most probable value of an SPN column given evidence, on the compiled
-    /// max-product path (`&self`, recursion-free). Classification batches
-    /// should go through [`crate::ProbePlan::register_mpe`] instead, which
-    /// fuses MPE probes into the same per-member sweep as expectation
-    /// probes.
-    pub fn most_probable_value(&self, target: usize, q: &SpnQuery) -> Option<f64> {
-        self.mpe_batch(std::slice::from_ref(&MpeProbe::new(target, q.clone())))[0].value
-    }
-
-    /// Evaluate a batch of max-product probes in one fused pass over the
-    /// arena — the MPE twin of [`Rspn::expect_batch`]. Scratch is
-    /// thread-local, so this is `&self` and safe from worker threads.
-    pub fn mpe_batch(&self, probes: &[MpeProbe]) -> Vec<MpeOutcome> {
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<MaxProductEvaluator> =
-                std::cell::RefCell::new(MaxProductEvaluator::new());
-        }
-        SCRATCH.with(|ev| ev.borrow_mut().evaluate(self.engine(), probes))
+        let mut out = [0.0];
+        let job = SweepJob::expect(&self.compiled, std::slice::from_ref(q), &mut out);
+        WorkerPool::new().sweep([job], 1);
+        out[0]
     }
 
     /// Require `N_T = 1` for a table (inner-join semantics, Case 1/2).
@@ -593,7 +532,6 @@ impl Rspn {
         Ok(Self {
             spn,
             compiled,
-            compiled_dirty: false,
             tables,
             columns,
             full_join_count,

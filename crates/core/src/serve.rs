@@ -784,7 +784,9 @@ impl<'a> ServeFront<'a> {
         let fault: Option<&TileFaultFn<'_>> = tile_hook.as_ref().map(|f| f as &TileFaultFn<'_>);
 
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            plan.execute_guarded(self.ens, self.cfg.threads, Some(&flag), fault)
+            let mut results = plan.blank_results();
+            plan.execute_into(self.ens, self.cfg.threads, Some(&flag), fault, &mut results);
+            results
         }));
         match outcome {
             Ok(results) if !flag.is_cancelled() => {
@@ -837,8 +839,10 @@ impl<'a> ServeFront<'a> {
             None => CancelFlag::new(),
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut results = e.solo.blank_results();
             e.solo
-                .execute_guarded(self.ens, self.cfg.threads, Some(&flag), fault)
+                .execute_into(self.ens, self.cfg.threads, Some(&flag), fault, &mut results);
+            results
         }));
         let filled = match outcome {
             Ok(_) if flag.is_cancelled() => Err(DeepDbError::DeadlineExceeded),

@@ -416,7 +416,6 @@ fn epoch_invalidation_never_reuses_stale_plans() {
 
     type Maintenance = fn(&mut Ensemble, &mut Database);
     let ops: Vec<(&str, Maintenance)> = vec![
-        ("recompile_models", |e, _| e.recompile_models()),
         ("apply_insert", |e, db| {
             e.apply_insert(db, 0, &customer_row(900_001)).unwrap()
         }),
@@ -488,7 +487,6 @@ fn active_set_side_table_tracks_epochs() {
 
     type Maintenance = fn(&mut Ensemble, &mut Database);
     let ops: Vec<(&str, Maintenance)> = vec![
-        ("recompile_models", |e, _| e.recompile_models()),
         ("apply_insert", |e, db| {
             e.apply_insert(db, 0, &customer_row(910_001)).unwrap()
         }),

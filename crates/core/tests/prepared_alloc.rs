@@ -1,8 +1,10 @@
 //! Acceptance check: the prepared-query execute path performs **zero heap
 //! allocations** in steady state. A counting `#[global_allocator]` wraps the
-//! system allocator; after a short warmup (thread-local evaluator scratch and
-//! the inline sweep's grow-only leaf-value tables reach capacity), repeated
-//! `PreparedQuery::execute` calls must not allocate at all.
+//! system allocator; after a short warmup (the submitting thread's grow-only
+//! sweep scratch and leaf-value tables reach capacity), repeated
+//! `PreparedQuery::execute` calls must not allocate at all — also when
+//! prepared queries over different members and widths alternate on one
+//! thread and so share that scratch.
 //!
 //! Everything runs in ONE `#[test]` so no concurrently running test can
 //! pollute the counter.
@@ -62,6 +64,7 @@ fn prepared_execute_steady_state_allocates_nothing() {
             .filter(1, 2, PredOp::Cmp(CmpOp::Eq, Value::Int(0))),
     ];
 
+    let mut all_prepared = Vec::new();
     for (si, query) in scenarios.iter().enumerate() {
         let mut prepared = ens.prepare(&db, query).unwrap();
         assert!(prepared.is_bound(), "scenario {si} must bind");
@@ -86,7 +89,28 @@ fn prepared_execute_steady_state_allocates_nothing() {
             "scenario {si}: prepared execute allocated {allocs} times in steady state"
         );
         assert!(sink.is_finite());
+        all_prepared.push((prepared, literals));
     }
+
+    // Interleaved: the covered and the Case-3 query alternate, so the one
+    // thread-local scratch switches members and model widths every call.
+    for (prepared, literals) in &mut all_prepared {
+        prepared.execute(&ens, &db, literals).unwrap();
+    }
+    let mut sink = 0.0;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for round in 0..10 {
+        for (prepared, literals) in &mut all_prepared {
+            literals[0] = 25.0 + round as f64;
+            sink += prepared.execute(&ens, &db, literals).unwrap().value;
+        }
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(
+        allocs, 0,
+        "interleaved prepared executes allocated {allocs} times in steady state"
+    );
+    assert!(sink.is_finite());
 
     // Join-order enumerator scoring rides the same path: after one warm call
     // per subset shape (which prepares and memoizes the sub-query), repeated

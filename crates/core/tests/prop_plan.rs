@@ -10,6 +10,7 @@ use std::sync::OnceLock;
 
 use deepdb_core::{
     execute_aqp, Ensemble, EnsembleBuilder, EnsembleParams, EnsembleStrategy, ProbePlan,
+    ProbeResults,
 };
 use deepdb_spn::{LeafFunc, LeafPred, SpnQuery};
 use deepdb_storage::fixtures::correlated_customer_order;
@@ -17,6 +18,13 @@ use deepdb_storage::{
     execute, Aggregate, CmpOp, ColumnRef, Database, Domain, PredOp, Query, TableSchema, Value,
 };
 use proptest::prelude::*;
+
+/// Run `plan` with an explicit sweep-thread cap.
+fn execute_with_threads(plan: &ProbePlan, ens: &Ensemble, threads: usize) -> ProbeResults {
+    let mut results = plan.blank_results();
+    plan.execute_into(ens, threads, None, None, &mut results);
+    results
+}
 
 /// Shared two-member (single-table strategy) ensemble so the plan executor
 /// fans probes across more than one RSPN.
@@ -117,7 +125,7 @@ proptest! {
             handles.push(plan.register(member, q));
         }
         for threads in [1usize, 4] {
-            let results = plan.execute_with_threads(ens, threads);
+            let results = execute_with_threads(&plan, ens, threads);
             for (i, &h) in handles.iter().enumerate() {
                 prop_assert_eq!(
                     results[h].to_bits(),
@@ -151,9 +159,9 @@ fn thread_count_determinism_is_exact() {
         let q = build_probe(ens, member, &specs);
         handles.push(plan.register(member, q));
     }
-    let baseline = plan.execute_with_threads(ens, 1);
+    let baseline = execute_with_threads(&plan, ens, 1);
     for threads in [2usize, 3, 4, 8] {
-        let got = plan.execute_with_threads(ens, threads);
+        let got = execute_with_threads(&plan, ens, threads);
         for &h in &handles {
             assert_eq!(
                 got[h].to_bits(),

@@ -17,8 +17,8 @@
 //! of [`CompiledSpn::compile`], so a patched arena is **bitwise identical**
 //! to a full recompile of the patched tree (property-tested in
 //! `tests/prop_update.rs`). Evaluation stays a pure `&self` operation — the
-//! prerequisite for the batched evaluator in [`crate::batch`] and for
-//! parallel/sharded ensembles.
+//! prerequisite for [`crate::WorkerPool::sweep`]'s tile-parallel sweeps and
+//! for sharded ensembles.
 //!
 //! The recursive evaluator in [`crate::infer`] stays as the reference oracle;
 //! differential property tests assert both paths agree. Arithmetic here
@@ -73,8 +73,7 @@ const NOT_A_LEAF: u32 = u32::MAX;
 
 /// A compiled, immutable SPN in struct-of-arrays form.
 ///
-/// Evaluation lives in [`crate::batch::BatchEvaluator`]; this type also
-/// offers a convenience single-query [`CompiledSpn::evaluate`].
+/// Evaluation goes through [`crate::WorkerPool::sweep`].
 #[derive(Debug)]
 pub struct CompiledSpn {
     /// Node kinds in bottom-up topological order; `kinds.len() - 1` is root.
@@ -384,8 +383,8 @@ impl CompiledSpn {
         self.sweeps.load(Ordering::Relaxed)
     }
 
-    /// Record one fused batch sweep (called once per batch by the
-    /// evaluation entry points in [`crate::batch`], not per tile).
+    /// Record one fused sweep (called once per job by
+    /// [`crate::WorkerPool::sweep`], not per tile).
     pub(crate) fn note_sweep(&self) {
         self.sweeps.fetch_add(1, Ordering::Relaxed);
     }
@@ -403,12 +402,6 @@ impl CompiledSpn {
         self.nodes_swept.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Convenience single-query evaluation (allocates a fresh scratch; for
-    /// hot paths hold a [`crate::BatchEvaluator`] and batch queries).
-    pub fn evaluate(&self, query: &crate::SpnQuery) -> f64 {
-        crate::batch::BatchEvaluator::new().evaluate(self, std::slice::from_ref(query))[0]
-    }
-
     /// Cached mode of a leaf payload (`None` for an empty leaf) — the O(1)
     /// lookup the max-product backtrace resolves winning branches against.
     pub(crate) fn leaf_mode(&self, payload: u32) -> Option<f64> {
@@ -418,16 +411,6 @@ impl CompiledSpn {
         } else {
             Some(m)
         }
-    }
-
-    /// Convenience single-probe MPE: most probable value of column `target`
-    /// given the evidence in `query`, on the compiled max-product path
-    /// (allocates a fresh scratch; hot paths should hold a
-    /// [`crate::MaxProductEvaluator`] and batch probes).
-    pub fn most_probable_value(&self, target: usize, query: &crate::SpnQuery) -> Option<f64> {
-        let probe = crate::MpeProbe::new(target, query.clone());
-        crate::maxprod::MaxProductEvaluator::new().evaluate(self, std::slice::from_ref(&probe))[0]
-            .value
     }
 
     // -- In-place patching ---------------------------------------------------
@@ -730,6 +713,7 @@ impl Spn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::tests::expect_one;
     use crate::{ColumnMeta, DataView, LeafFunc, LeafPred, SpnParams, SpnQuery};
 
     fn lcg(seed: u64) -> impl FnMut() -> f64 {
@@ -894,7 +878,7 @@ mod tests {
         let root = compiled.n_nodes() - 1;
         assert_eq!(
             compiled.neutral_expect[root].to_bits(),
-            compiled.evaluate(&empty).to_bits(),
+            expect_one(&compiled, &empty).to_bits(),
             "root neutral must be bitwise the empty-query sweep result"
         );
         // Every leaf marginalizes to exactly 1.0 in both semirings.
@@ -923,7 +907,7 @@ mod tests {
         ];
         for q in &queries {
             let want = spn.evaluate(q);
-            let got = compiled.evaluate(q);
+            let got = expect_one(&compiled, q);
             assert!((got - want).abs() < 1e-12, "{got} vs {want} for {q:?}");
         }
     }
@@ -933,15 +917,15 @@ mod tests {
         let mut spn = sample_spn(2000, 3);
         let compiled = spn.compile();
         let q = SpnQuery::new(2).with_pred(0, LeafPred::eq(0.0));
-        let before = compiled.evaluate(&q);
+        let before = expect_one(&compiled, &q);
         // Mutate the tree: the compiled form must not change.
         for _ in 0..500 {
             spn.insert(&[0.0, 70.0]);
         }
-        assert_eq!(compiled.evaluate(&q), before);
+        assert_eq!(expect_one(&compiled, &q), before);
         // Recompiling picks the updates up.
         let recompiled = spn.compile();
-        assert!((recompiled.evaluate(&q) - spn.evaluate(&q)).abs() < 1e-12);
-        assert!(recompiled.evaluate(&q) > before);
+        assert!((expect_one(&recompiled, &q) - spn.evaluate(&q)).abs() < 1e-12);
+        assert!(expect_one(&recompiled, &q) > before);
     }
 }

@@ -1,5 +1,9 @@
 //! Inference: bottom-up evaluation of expectation queries and max-product
 //! MPE (paper §3.1, §3.2 "Extended Inference Algorithms").
+//!
+//! The recursive walks here are the **reference oracle** the differential
+//! tests compare against; production inference sweeps the compiled arena
+//! through [`crate::WorkerPool::sweep`].
 
 use crate::node::{Node, Spn};
 
@@ -225,8 +229,8 @@ pub(crate) fn evaluate(node: &mut Node, query: &SpnQuery) -> f64 {
 /// Max-product traversal: likelihood of the evidence on the most probable
 /// branch, together with the mode of `target` on that branch.
 ///
-/// This is the **reference oracle** for the compiled max-product pass in
-/// [`crate::MaxProductEvaluator`]; production MPE runs on the arena. The two
+/// This is the **reference oracle** for the compiled max-product pass
+/// ([`crate::SweepJob::mpe`]); production MPE runs on the arena. The two
 /// share one tie-break rule — at a sum node the **lowest-index child wins**
 /// among equally scored branches (a later child must be *strictly* better to
 /// replace the incumbent) — and one arithmetic order (the mixture weight
@@ -299,14 +303,14 @@ impl Spn {
     /// (approximate MPE via max-product), on the **recursive oracle path**.
     ///
     /// This exists for differential tests only; production classification
-    /// runs on the compiled arena ([`crate::CompiledSpn::most_probable_value`]
-    /// / [`crate::MaxProductEvaluator`]), which is `&self`, batched, and
-    /// recursion-free while returning identical results.
+    /// sweeps the compiled arena ([`crate::SweepJob::mpe`]), which is
+    /// `&self`, batched, and recursion-free while returning identical
+    /// results.
     pub fn most_probable_value(&mut self, target: usize, query: &SpnQuery) -> Option<f64> {
         mpe(&mut self.root, query, target).1
     }
 
-    /// Oracle twin of [`crate::MaxProductEvaluator`]'s per-probe outcome:
+    /// Oracle twin of the compiled sweep's per-probe [`crate::MpeOutcome`]:
     /// the max-product evidence score together with the target's mode on the
     /// best branch. Differential-test use only.
     pub fn mpe_outcome(&mut self, target: usize, query: &SpnQuery) -> (f64, Option<f64>) {

@@ -1,11 +1,11 @@
 //! Semiring sweep kernels: one tiling/scheduling skeleton, two semirings.
 //!
-//! The arena engine answers every production probe with the same forward
-//! sweep — only the node arithmetic differs between expectation probes
-//! ((+, ×), [`crate::BatchEvaluator`]) and max-product MPE probes
-//! ((max, ×), [`crate::MaxProductEvaluator`]). This module factors that
-//! sweep into a shared skeleton ([`SweepScratch::sweep`]) parameterized by
-//! per-node-run kernel traits:
+//! The arena engine answers every probe with the same forward sweep — only
+//! the node arithmetic differs between expectation probes ((+, ×)) and
+//! max-product MPE probes ((max, ×)). This module factors that sweep into
+//! one per-tile skeleton ([`SweepScratch::sweep`], generic over the
+//! semiring) that every tile of a [`crate::WorkerPool::sweep`] runs,
+//! parameterized by per-node-run kernel traits:
 //!
 //! * [`LeafKernel`] / [`SumKernel`] / [`ProductKernel`] — one method per
 //!   [`CompiledKind`], dispatched once per *run* of consecutive same-kind
@@ -47,7 +47,7 @@ use std::ops::Range;
 
 use crate::arena::{ActiveSet, CompiledKind, CompiledSpn};
 use crate::leaf::{LeafBatchScratch, NormPred};
-use crate::maxprod::MpeProbe;
+use crate::maxprod::{MpeOutcome, MpeProbe};
 use crate::{LeafFunc, SpnQuery};
 
 /// Queries per SIMD lane group. Lane arithmetic is elementwise `[f64; 4]`
@@ -160,10 +160,15 @@ pub(crate) struct LeafValueTable {
     /// Concatenated per-leaf values, one per distinct slot of the leaf's
     /// column.
     vals: Vec<f64>,
-    /// Hoisted `n_probes × n_cols` compiled slots (build scratch).
+    /// Hoisted `n_probes × n_cols` compiled slots (build scratch). Grow-only:
+    /// entries past the current batch keep their allocations for the next
+    /// larger one.
     slots: Vec<CompiledSlot>,
+    /// Normalized predicates of slots that went marginalized, kept for reuse
+    /// so alternating probe layouts never reallocate them.
+    spare: Vec<NormPred>,
     /// Per column, the probe index carrying the first occurrence of each
-    /// distinct slot (build scratch).
+    /// distinct slot (build scratch; grow-only like `slots`).
     col_reps: Vec<Vec<u32>>,
     /// Scratch for [`crate::Leaf::expect_norm_batch`] — the batched
     /// prefix-sum probe walk over a column's distinct slots.
@@ -172,7 +177,9 @@ pub(crate) struct LeafValueTable {
 
 impl LeafValueTable {
     /// Hoist + dedup + evaluate for one batch of probes against one arena.
-    /// Reuses the table's allocations across builds.
+    /// Reuses the table's allocations across builds, whatever model and
+    /// batch shape came before: the steady state of any mix of prepared
+    /// queries allocates nothing.
     pub(crate) fn build<K: SemiringProbe>(&mut self, spn: &CompiledSpn, probes: &[K::Probe]) {
         let n_cols = spn.n_columns();
         let n_q = probes.len();
@@ -180,35 +187,29 @@ impl LeafValueTable {
 
         // Hoist predicate normalization: once per (probe, column) per batch.
         // The recursive oracle re-normalizes at every leaf visit. Existing
-        // compiled slots are re-assigned in place ([`NormPred::assign`]), so
-        // a table rebuilt for the same probe layout — the steady state of a
-        // prepared query — allocates nothing.
-        self.slots.truncate(n_q * n_cols);
-        let reusable = self.slots.len();
+        // compiled slots are re-assigned in place ([`NormPred::assign`]).
+        if self.slots.len() < n_q * n_cols {
+            self.slots.resize_with(n_q * n_cols, || None);
+        }
         let mut idx = 0;
         for p in probes {
             let q = K::query(p);
             for col in 0..n_cols {
-                let src = q.slot(col);
-                if idx < reusable {
-                    let dst = &mut self.slots[idx];
-                    match src {
-                        None => *dst = None,
-                        Some(s) => {
-                            let func = s.func.unwrap_or(LeafFunc::One);
-                            match dst {
-                                Some((f, np)) => {
-                                    *f = func;
-                                    np.assign(&s.preds);
-                                }
-                                None => *dst = Some((func, NormPred::new(&s.preds))),
-                            }
+                let dst = &mut self.slots[idx];
+                match q.slot(col) {
+                    None => {
+                        if let Some((_, np)) = dst.take() {
+                            self.spare.push(np);
                         }
                     }
-                } else {
-                    self.slots.push(
-                        src.map(|s| (s.func.unwrap_or(LeafFunc::One), NormPred::new(&s.preds))),
-                    );
+                    Some(s) => {
+                        let (f, np) = dst.get_or_insert_with(|| {
+                            let np = self.spare.pop().unwrap_or_else(|| NormPred::new(&[]));
+                            (LeafFunc::One, np)
+                        });
+                        *f = s.func.unwrap_or(LeafFunc::One);
+                        np.assign(&s.preds);
+                    }
                 }
                 idx += 1;
             }
@@ -220,8 +221,10 @@ impl LeafValueTable {
         // no more evaluations than the un-deduplicated path did.
         self.slot_ids.clear();
         self.slot_ids.resize(n_q * n_cols, 0);
+        if self.col_reps.len() < n_cols {
+            self.col_reps.resize_with(n_cols, Vec::new);
+        }
         self.col_reps.iter_mut().for_each(Vec::clear);
-        self.col_reps.resize_with(n_cols, Vec::new);
         for col in 0..n_cols {
             for qi in 0..n_q {
                 let slot = &self.slots[qi * n_cols + col];
@@ -293,10 +296,12 @@ pub(crate) struct SweepCtx<'a, P> {
     pub base: usize,
 }
 
-/// Probe shape of a semiring: how to reach the query inside a probe and how
-/// to validate a probe against a model.
+/// Probe shape of a semiring: how to reach the query inside a probe, how
+/// to validate a probe against a model, and how a swept root row becomes
+/// per-probe results.
 pub(crate) trait SemiringProbe {
     type Probe;
+    type Out;
     /// Whether the semiring carries the auxiliary `u32` lane.
     const TRACKS_LEAF: bool;
     fn query(p: &Self::Probe) -> &SpnQuery;
@@ -304,6 +309,9 @@ pub(crate) trait SemiringProbe {
     /// The arena's per-node neutral (empty-query) values for this semiring —
     /// what a pruned sweep seeds inactive boundary rows with.
     fn neutral(spn: &CompiledSpn) -> &[f64];
+    /// Resolve the root row (`values`, plus `aux` when [`Self::TRACKS_LEAF`])
+    /// into one result per probe.
+    fn emit(spn: &CompiledSpn, values: &[f64], aux: &[u32], out: &mut [Self::Out]);
 }
 
 /// Kernel for a run of consecutive leaf nodes.
@@ -325,15 +333,16 @@ pub(crate) trait ProductKernel: SemiringProbe {
 pub(crate) trait Kernels: LeafKernel + SumKernel + ProductKernel {}
 impl<K: LeafKernel + SumKernel + ProductKernel> Kernels for K {}
 
-/// The (+, ×) semiring: expectation probes ([`crate::BatchEvaluator`]).
+/// The (+, ×) semiring: expectation probes ([`crate::SweepJob::queries`]).
 pub(crate) struct Expectation;
 
 /// The (max, ×) semiring with target-leaf backtraces: max-product MPE
-/// probes ([`crate::MaxProductEvaluator`]).
+/// probes ([`crate::SweepJob::mpe`]).
 pub(crate) struct MaxProduct;
 
 impl SemiringProbe for Expectation {
     type Probe = SpnQuery;
+    type Out = f64;
     const TRACKS_LEAF: bool = false;
 
     #[inline]
@@ -349,10 +358,15 @@ impl SemiringProbe for Expectation {
     fn neutral(spn: &CompiledSpn) -> &[f64] {
         &spn.neutral_expect
     }
+
+    fn emit(_: &CompiledSpn, values: &[f64], _: &[u32], out: &mut [f64]) {
+        out.copy_from_slice(values);
+    }
 }
 
 impl SemiringProbe for MaxProduct {
     type Probe = MpeProbe;
+    type Out = MpeOutcome;
     const TRACKS_LEAF: bool = true;
 
     #[inline]
@@ -368,6 +382,20 @@ impl SemiringProbe for MaxProduct {
     #[inline]
     fn neutral(spn: &CompiledSpn) -> &[f64] {
         &spn.neutral_mpe
+    }
+
+    /// The winning branch's target leaf resolves against the arena's O(1)
+    /// cached leaf modes.
+    fn emit(spn: &CompiledSpn, values: &[f64], aux: &[u32], out: &mut [MpeOutcome]) {
+        for ((slot, &score), &leaf) in out.iter_mut().zip(values).zip(aux) {
+            *slot = MpeOutcome {
+                score,
+                value: match leaf {
+                    NO_LEAF => None,
+                    payload => spn.leaf_mode(payload),
+                },
+            };
+        }
     }
 }
 
@@ -574,22 +602,18 @@ pub(crate) struct SweepScratch {
     values: Vec<f64>,
     /// `n_nodes × stride` auxiliary lane (max-product target leaves).
     aux: Vec<u32>,
-    /// Offset of the root row of the most recent sweep.
-    root: usize,
-    /// Live queries in the most recent sweep.
-    n_out: usize,
 }
 
 impl SweepScratch {
-    /// One forward sweep of one chunk of `probes` over `spn` in semiring
-    /// `K`, scalar or SIMD, gathering leaf values from a batch-wide
-    /// [`LeafValueTable`] (`base` is the chunk's offset within the batch
-    /// the table was built for). With an [`ActiveSet`], only its compacted
-    /// runs are swept after seeding the boundary rows from the arena's
-    /// neutral table — bitwise identical to the full sweep by construction.
-    /// Results land in the root row ([`SweepScratch::root_values`] /
-    /// [`SweepScratch::root_aux`]). Does **not** bump the model's sweep
-    /// counter — callers account for fused sweeps.
+    /// One forward sweep of one tile of `probes` over `spn` in semiring
+    /// `K`, scalar or SIMD, gathering leaf values from a job-wide
+    /// [`LeafValueTable`] (`base` is the tile's offset within the batch
+    /// the table was built for), and one result per probe into `out`. With
+    /// an [`ActiveSet`], only its compacted runs are swept after seeding the
+    /// boundary rows from the arena's neutral table — bitwise identical to
+    /// the full sweep by construction. Does **not** bump the model's sweep
+    /// counter — [`crate::WorkerPool::sweep`] counts once per job.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn sweep<K: Kernels>(
         &mut self,
         spn: &CompiledSpn,
@@ -598,9 +622,13 @@ impl SweepScratch {
         base: usize,
         simd: bool,
         active: Option<&ActiveSet>,
+        out: &mut [K::Out],
     ) {
         let n_q = probes.len();
-        debug_assert!(n_q > 0, "empty chunks are handled by callers");
+        debug_assert!(
+            n_q > 0 && n_q == out.len(),
+            "tiles are non-empty and aligned"
+        );
         let n_cols = spn.n_columns();
         for p in probes {
             K::check(p, n_cols);
@@ -672,19 +700,13 @@ impl SweepScratch {
         }
         spn.note_nodes(nodes);
 
-        self.root = (n_nodes - 1) * stride;
-        self.n_out = n_q;
-    }
-
-    /// Root-row semiring values of the most recent sweep, one per probe.
-    pub(crate) fn root_values(&self) -> &[f64] {
-        &self.values[self.root..self.root + self.n_out]
-    }
-
-    /// Root-row auxiliary lane of the most recent sweep (max-product target
-    /// leaves), one per probe.
-    pub(crate) fn root_aux(&self) -> &[u32] {
-        &self.aux[self.root..self.root + self.n_out]
+        let root = (n_nodes - 1) * stride;
+        let aux = if K::TRACKS_LEAF {
+            &self.aux[root..root + n_q]
+        } else {
+            &[]
+        };
+        K::emit(spn, &self.values[root..root + n_q], aux, out);
     }
 }
 

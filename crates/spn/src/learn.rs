@@ -215,6 +215,7 @@ fn independent_components(ctx: &Ctx<'_>, rows: &[u32], scope: &[usize]) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::tests::mpe_one;
     use crate::{ColumnMeta, LeafFunc, LeafPred, SpnQuery};
 
     fn lcg(seed: u64) -> impl FnMut() -> f64 {
@@ -370,11 +371,11 @@ mod tests {
         let compiled = spn.compile();
         // Given an old customer, the most probable region is EUROPE (0).
         let q = SpnQuery::new(2).with_pred(1, LeafPred::ge(70.0));
-        assert_eq!(compiled.most_probable_value(0, &q), Some(0.0));
+        assert_eq!(mpe_one(&compiled, 0, &q), Some(0.0));
         assert_eq!(spn.most_probable_value(0, &q), Some(0.0));
         // Given a young customer, ASIA (1).
         let q = SpnQuery::new(2).with_pred(1, LeafPred::le(25.0));
-        assert_eq!(compiled.most_probable_value(0, &q), Some(1.0));
+        assert_eq!(mpe_one(&compiled, 0, &q), Some(1.0));
         assert_eq!(spn.most_probable_value(0, &q), Some(1.0));
     }
 }

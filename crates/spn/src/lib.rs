@@ -14,40 +14,39 @@
 //!   insert/delete updates (paper Algorithm 1). Deletes are
 //!   check-then-apply: an update the routed path cannot absorb is a
 //!   consistent no-op, never a partial decrement;
-//! * [`CompiledSpn`] / [`BatchEvaluator`] — the tree flattened into an
-//!   arena (contiguous SoA arrays in bottom-up topological order) and
-//!   evaluated for whole batches of queries in one non-recursive sweep.
-//!   The recursive evaluator survives **only as the differential-test
-//!   oracle**; every production query path — expectations *and*
-//!   max-product MPE — runs on the compiled engine. Updates **patch the
-//!   arena in place** ([`Spn::insert_patch`] / [`Spn::insert_batch`] and
-//!   the delete twins): tree and arena are walked in lockstep, sum-edge
-//!   counts and leaf histograms are edited directly, and per-node
-//!   finalization (weight renormalization, prefix rebuilds, cached leaf
-//!   modes) is folded to once per touched node per batch — O(depth +
-//!   touched bins) per tuple and bitwise identical to a full recompile;
-//! * [`MaxProductEvaluator`] — the compiled **max-product** pass
-//!   (classification / most-probable-explanation, paper §4.3): sum nodes
-//!   take the best weighted child instead of the average, each probe tracks
-//!   the target-column leaf on its winning branch, and the answer resolves
-//!   against the arena's O(1) cached leaf modes. Tie-breaking is
-//!   deterministic (lowest child index wins) and shared with the recursive
-//!   oracle, so both agree bitwise;
-//! * `kernel` (internal) — both evaluators run one shared sweep skeleton
-//!   parameterized by per-node-run semiring kernels
+//! * [`CompiledSpn`] — the tree flattened into an arena (contiguous SoA
+//!   arrays in bottom-up topological order) and evaluated for whole batches
+//!   of queries in one non-recursive sweep. The recursive evaluator
+//!   survives **only as the differential-test oracle**; every production
+//!   query path — expectations *and* max-product MPE — runs on the compiled
+//!   engine. Updates **patch the arena in place** ([`Spn::insert_patch`] /
+//!   [`Spn::insert_batch`] and the delete twins): tree and arena are walked
+//!   in lockstep, sum-edge counts and leaf histograms are edited directly,
+//!   and per-node finalization (weight renormalization, prefix rebuilds,
+//!   cached leaf modes) is folded to once per touched node per batch —
+//!   O(depth + touched bins) per tuple and bitwise identical to a full
+//!   recompile;
+//! * [`WorkerPool::sweep`] over [`SweepJob`]s — the **one** way to sweep an
+//!   arena. A job carries expectation probes ([`SpnQuery`], the (+, ×)
+//!   semiring) and max-product probes ([`MpeProbe`], the (max, ×) semiring
+//!   for classification / most-probable-explanation, paper §4.3) against
+//!   one compiled model, and both kinds ride one fused sweep. Inline
+//!   (`threads <= 1`) sweeps run on the calling thread from grow-only
+//!   scratch; parallel ones load-balance the tiles of all jobs across a
+//!   **persistent worker pool** whose workers keep pinned scratch, claim
+//!   tiles off an atomic cursor, and park between jobs. Results are
+//!   bitwise identical for every thread count and kernel flavor;
+//! * `kernel` (internal) — one per-tile sweep skeleton, generic over the
+//!   semiring, parameterized by per-node-run kernels
 //!   (`LeafKernel`/`SumKernel`/`ProductKernel` for (+, ×) and (max, ×)):
 //!   consecutive same-kind arena nodes are dispatched as one kernel call,
 //!   and the inner kernels process four query lanes at a time with
 //!   explicit-lane (`f64x4`-style) arithmetic that is **bitwise identical**
-//!   to the scalar reference path (`evaluate_scalar`) — no FMA contraction,
-//!   no reassociation, zero-skips as lanewise freezes;
-//! * [`sweep_models`] / [`WorkerPool`] — one fused sweep per compiled model
-//!   with the tiles of all models (expectation **and** MPE probes alike)
-//!   load-balanced across a **persistent worker pool**: workers keep pinned
-//!   evaluator scratch for their lifetime, claim tiles off an atomic
-//!   cursor, and park between jobs; the execution engine of `deepdb-core`'s
-//!   probe plans. Evaluation is `&self`-safe, and results are bitwise
-//!   identical for every thread count and kernel flavor;
+//!   to the scalar reference kernels ([`SweepJob::scalar`]) — no FMA
+//!   contraction, no reassociation, zero-skips as lanewise freezes. At sum
+//!   nodes the max-product kernels break ties deterministically (lowest
+//!   child index wins), as the recursive oracle does, so both agree
+//!   bitwise;
 //! * [`ActiveSet`] — query-scoped sub-DAG pruning: the arena caches each
 //!   node's query-independent (empty-query) value per semiring, and a sweep
 //!   restricted to the nodes whose scope intersects the constrained/target
@@ -60,7 +59,6 @@
 //! `deepdb-core`.
 
 mod arena;
-mod batch;
 mod data;
 mod infer;
 mod kernel;
@@ -76,15 +74,13 @@ mod update;
 pub mod wire;
 
 pub use arena::{ActiveSet, CompiledSpn};
-pub use batch::{BatchEvaluator, SWEEP_TILE};
 pub use data::{ColumnMeta, DataView};
 pub use infer::{LeafFunc, LeafPred, Slot, SpnQuery};
 pub use kmeans::{kmeans_two, KMeansResult};
 pub use leaf::Leaf;
 pub use learn::SpnParams;
-pub use maxprod::{MaxProductEvaluator, MpeOutcome, MpeProbe};
+pub use maxprod::{MpeOutcome, MpeProbe};
 pub use node::{Node, ProductNode, Spn, SumNode};
 pub use pool::{
-    default_threads, sweep_models, CancelFlag, InlineSweep, SweepJob, TileFault, TileFaultFn,
-    WorkerPool,
+    default_threads, CancelFlag, SweepJob, TileFault, TileFaultFn, WorkerPool, SWEEP_TILE,
 };

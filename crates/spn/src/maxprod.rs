@@ -1,19 +1,19 @@
-//! Compiled max-product (MPE) inference over the arena (paper §3.1
-//! "Extended Inference Algorithms", served for classification in §4.3).
+//! Max-product (MPE) probes over the arena (paper §3.1 "Extended Inference
+//! Algorithms", served for classification in §4.3).
 //!
-//! Where [`crate::batch::BatchEvaluator`] sweeps the arena in the
-//! (+, ×) semiring, [`MaxProductEvaluator`] sweeps it in (max, ×): sum nodes
-//! take the best weighted child instead of the weighted average, and each
-//! query additionally tracks **which leaf of the target column** sits on its
+//! A [`crate::SweepJob`] carries [`MpeProbe`]s next to its expectation
+//! probes, and [`crate::WorkerPool::sweep`] answers them in the same fused
+//! pass, in the (max, ×) semiring instead of (+, ×): sum nodes take the best
+//! weighted child instead of the weighted average, and each probe
+//! additionally tracks **which leaf of the target column** sits on its
 //! current best branch. The tracked leaf id *is* the backtrace — it is
 //! propagated upward through every argmax decision, so when the sweep
 //! reaches the root the winning branch's target leaf is already resolved and
 //! its mode is a single O(1) lookup in the arena's cached
 //! [`crate::CompiledSpn`] `leaf_mode` table (rebuilt by `commit_patch`
 //! whenever updates touch a leaf). No recursion, no second top-down pass,
-//! no per-visit allocation. Both semirings run the same sweep skeleton and
-//! lane-structured kernels ([`crate::kernel`]); the scalar reference path
-//! survives as [`MaxProductEvaluator::evaluate_scalar`].
+//! no per-visit allocation. The kernels live in [`crate::kernel`]; a job's
+//! `scalar` flag selects the scalar reference kernels.
 //!
 //! Determinism: at a sum node the **lowest-index child wins ties** (a later
 //! child must score *strictly* higher to replace the incumbent), and the
@@ -24,9 +24,6 @@
 //! flavor (SIMD vs scalar), tiling, and thread count: a probe reads only its
 //! own slots and its own scratch lane.
 
-use crate::arena::{ActiveSet, CompiledSpn};
-use crate::batch::SWEEP_TILE;
-use crate::kernel::{LeafValueTable, MaxProduct, SweepScratch, NO_LEAF};
 use crate::SpnQuery;
 
 /// One max-product probe: evidence (an [`SpnQuery`]) plus the column whose
@@ -47,7 +44,7 @@ impl MpeProbe {
 }
 
 /// Resolved max-product outcome of one probe.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MpeOutcome {
     /// Max-product likelihood of the evidence along the winning branch
     /// (0 when the evidence has no support anywhere).
@@ -57,211 +54,11 @@ pub struct MpeOutcome {
     pub value: Option<f64>,
 }
 
-impl Default for MpeOutcome {
-    fn default() -> Self {
-        Self {
-            score: 0.0,
-            value: None,
-        }
-    }
-}
-
-/// Reusable scratch for batched arena max-product evaluation; the MPE twin
-/// of [`crate::BatchEvaluator`], with the same tiling scheme and per-batch
-/// leaf-value table.
-#[derive(Debug, Clone, Default)]
-pub struct MaxProductEvaluator {
-    scratch: SweepScratch,
-    /// Per-batch (leaf × distinct slot) value table for self-contained
-    /// evaluations; pooled sweeps pass a job-wide table in instead.
-    table: LeafValueTable,
-}
-
-impl MaxProductEvaluator {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Evaluate every probe against `spn`, returning one outcome per probe
-    /// (same order). Counts as one fused sweep.
-    pub fn evaluate(&mut self, spn: &CompiledSpn, probes: &[MpeProbe]) -> Vec<MpeOutcome> {
-        let mut out = Vec::new();
-        self.evaluate_into(spn, probes, &mut out);
-        out
-    }
-
-    /// Like [`MaxProductEvaluator::evaluate`] but into a caller-owned buffer
-    /// (cleared first). Counts as one fused sweep.
-    pub fn evaluate_into(
-        &mut self,
-        spn: &CompiledSpn,
-        probes: &[MpeProbe],
-        out: &mut Vec<MpeOutcome>,
-    ) {
-        self.evaluate_into_impl(spn, probes, out, true, None);
-    }
-
-    /// Scalar-kernel twin of [`MaxProductEvaluator::evaluate`]: the
-    /// reference path the SIMD kernels are differentially tested against
-    /// (results are bitwise identical). Counts as one fused sweep.
-    pub fn evaluate_scalar(&mut self, spn: &CompiledSpn, probes: &[MpeProbe]) -> Vec<MpeOutcome> {
-        let mut out = Vec::new();
-        self.evaluate_into_impl(spn, probes, &mut out, false, None);
-        out
-    }
-
-    /// Pruned twin of [`MaxProductEvaluator::evaluate`]: sweeps only
-    /// `active`'s compacted runs, seeding pruned-out boundary rows from the
-    /// arena's neutral table. Bitwise identical to the full sweep whenever
-    /// `active` covers the union of the batch's evidence columns **and
-    /// every probe's target column** (see [`CompiledSpn::active_set`]).
-    /// Counts as one fused sweep.
-    pub fn evaluate_pruned(
-        &mut self,
-        spn: &CompiledSpn,
-        probes: &[MpeProbe],
-        active: &ActiveSet,
-    ) -> Vec<MpeOutcome> {
-        let mut out = Vec::new();
-        self.evaluate_into_impl(spn, probes, &mut out, true, Some(active));
-        out
-    }
-
-    fn evaluate_into_impl(
-        &mut self,
-        spn: &CompiledSpn,
-        probes: &[MpeProbe],
-        out: &mut Vec<MpeOutcome>,
-        simd: bool,
-        active: Option<&ActiveSet>,
-    ) {
-        out.clear();
-        if probes.is_empty() {
-            return;
-        }
-        spn.note_sweep();
-        out.resize(probes.len(), MpeOutcome::default());
-        // Leaf values are evaluated once per (leaf, distinct slot) for the
-        // WHOLE batch; the per-tile sweeps below only gather from the table.
-        self.table.build::<MaxProduct>(spn, probes);
-        let mut base = 0;
-        for (tile, dst) in probes.chunks(SWEEP_TILE).zip(out.chunks_mut(SWEEP_TILE)) {
-            chunk(
-                &mut self.scratch,
-                &self.table,
-                spn,
-                tile,
-                base,
-                dst,
-                simd,
-                active,
-            );
-            base += tile.len();
-        }
-    }
-
-    /// One forward max-product sweep for a single chunk of probes. Does
-    /// **not** bump the model's sweep counter — callers orchestrating a
-    /// larger fused sweep ([`crate::sweep_models`]) account for it once per
-    /// model.
-    pub fn evaluate_chunk(
-        &mut self,
-        spn: &CompiledSpn,
-        probes: &[MpeProbe],
-        out: &mut [MpeOutcome],
-    ) {
-        self.table.build::<MaxProduct>(spn, probes);
-        chunk(
-            &mut self.scratch,
-            &self.table,
-            spn,
-            probes,
-            0,
-            out,
-            true,
-            None,
-        );
-    }
-
-    /// Scalar-kernel twin of [`MaxProductEvaluator::evaluate_chunk`].
-    pub fn evaluate_chunk_scalar(
-        &mut self,
-        spn: &CompiledSpn,
-        probes: &[MpeProbe],
-        out: &mut [MpeOutcome],
-    ) {
-        self.table.build::<MaxProduct>(spn, probes);
-        chunk(
-            &mut self.scratch,
-            &self.table,
-            spn,
-            probes,
-            0,
-            out,
-            false,
-            None,
-        );
-    }
-
-    /// Pooled-tile entry: sweep one tile against a **job-wide** leaf-value
-    /// table built by the submitter (`base` = the tile's offset within the
-    /// job's probe batch), so tiles never re-evaluate shared leaf work.
-    /// `active` prunes the tile's sweep to the job's active sub-DAG.
-    pub(crate) fn evaluate_chunk_shared(
-        &mut self,
-        spn: &CompiledSpn,
-        probes: &[MpeProbe],
-        table: &LeafValueTable,
-        base: usize,
-        out: &mut [MpeOutcome],
-        active: Option<&ActiveSet>,
-    ) {
-        chunk(
-            &mut self.scratch,
-            table,
-            spn,
-            probes,
-            base,
-            out,
-            true,
-            active,
-        );
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn chunk(
-    scratch: &mut SweepScratch,
-    table: &LeafValueTable,
-    spn: &CompiledSpn,
-    probes: &[MpeProbe],
-    base: usize,
-    out: &mut [MpeOutcome],
-    simd: bool,
-    active: Option<&ActiveSet>,
-) {
-    assert_eq!(probes.len(), out.len(), "output slice arity mismatch");
-    if probes.is_empty() {
-        return;
-    }
-    scratch.sweep::<MaxProduct>(spn, probes, table, base, simd, active);
-    let scores = scratch.root_values();
-    let leaves = scratch.root_aux();
-    for ((slot, &score), &leaf) in out.iter_mut().zip(scores).zip(leaves) {
-        *slot = MpeOutcome {
-            score,
-            value: match leaf {
-                NO_LEAF => None,
-                payload => spn.leaf_mode(payload),
-            },
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::node::{Node, Spn, SumNode};
+    use crate::pool::tests::{mpe_all, mpe_one};
     use crate::{ColumnMeta, DataView, Leaf, LeafPred, SpnParams};
 
     fn leaf_over(values: &[f64], col: usize) -> Leaf {
@@ -297,7 +94,7 @@ mod tests {
         let q = SpnQuery::new(1);
         // Child 0's mode is 7, child 1's is 3; weights tie at 1/2.
         assert_eq!(spn.most_probable_value(0, &q), Some(7.0));
-        assert_eq!(compiled.most_probable_value(0, &q), Some(7.0));
+        assert_eq!(mpe_one(&compiled, 0, &q), Some(7.0));
     }
 
     #[test]
@@ -327,8 +124,8 @@ mod tests {
         let probes: Vec<MpeProbe> = (0..33)
             .map(|_| MpeProbe::new(0, SpnQuery::new(1)))
             .collect();
-        let simd = MaxProductEvaluator::new().evaluate(&compiled, &probes);
-        let scalar = MaxProductEvaluator::new().evaluate_scalar(&compiled, &probes);
+        let simd = mpe_all(&compiled, &probes, false);
+        let scalar = mpe_all(&compiled, &probes, true);
         assert_eq!(simd, scalar);
         for got in &simd {
             assert_eq!(got.score.to_bits(), 0.0f64.to_bits());
@@ -353,8 +150,7 @@ mod tests {
             SpnQuery::new(2).with_pred(1, LeafPred::eq(500.0)),
         ] {
             let (want_score, want_value) = spn.mpe_outcome(0, &q);
-            let got =
-                MaxProductEvaluator::new().evaluate(&compiled, &[MpeProbe::new(0, q.clone())])[0];
+            let got = mpe_all(&compiled, &[MpeProbe::new(0, q.clone())], false)[0];
             assert_eq!(got.value, want_value, "value for {q:?}");
             assert_eq!(got.score.to_bits(), want_score.to_bits(), "score for {q:?}");
         }
@@ -379,7 +175,7 @@ mod tests {
                 )
             })
             .collect();
-        let got = MaxProductEvaluator::new().evaluate(&compiled, &probes);
+        let got = mpe_all(&compiled, &probes, false);
         assert_eq!(got.len(), probes.len());
         for (i, p) in probes.iter().enumerate() {
             let (score, value) = spn.mpe_outcome(p.target, &p.query);
@@ -387,7 +183,7 @@ mod tests {
             assert_eq!(got[i].score.to_bits(), score.to_bits(), "probe {i}");
         }
         // SIMD and scalar kernels agree bitwise across the whole batch.
-        let scalar = MaxProductEvaluator::new().evaluate_scalar(&compiled, &probes);
+        let scalar = mpe_all(&compiled, &probes, true);
         for (i, (a, b)) in got.iter().zip(&scalar).enumerate() {
             assert_eq!(a.score.to_bits(), b.score.to_bits(), "probe {i}");
             assert_eq!(a.value, b.value, "probe {i}");
@@ -400,12 +196,12 @@ mod tests {
         let meta = vec![ColumnMeta::discrete("a"), ColumnMeta::discrete("b")];
         let mut spn = Spn::learn(DataView::new(&cols, &meta), &SpnParams::default());
         let mut arena = spn.compile();
-        assert_eq!(arena.most_probable_value(0, &SpnQuery::new(2)), Some(1.0));
+        assert_eq!(mpe_one(&arena, 0, &SpnQuery::new(2)), Some(1.0));
         // Shift the majority to 2 through the in-place patch path.
         for _ in 0..4 {
             spn.insert_patch(&mut arena, &[2.0, 9.0]);
         }
-        assert_eq!(arena.most_probable_value(0, &SpnQuery::new(2)), Some(2.0));
+        assert_eq!(mpe_one(&arena, 0, &SpnQuery::new(2)), Some(2.0));
         assert!(arena.bitwise_eq(&spn.compile()), "mode cache drifted");
     }
 }

@@ -1,18 +1,21 @@
-//! Persistent worker pool for fused multi-model sweeps.
+//! The sweep entry point: [`WorkerPool::sweep`] runs one fused forward pass
+//! per [`SweepJob`] over its compiled arena, answering the job's
+//! expectation probes ((+, ×)) and max-product probes ((max, ×)) together.
+//! Every arena sweep in the workspace goes through it.
 //!
-//! [`sweep_models`] used to spawn fresh scoped threads behind a
-//! `Mutex<Vec>` tile queue on every call — measurable fixed overhead that
-//! made small multi-threaded probe plans *slower* than running inline. This
-//! module replaces it with a [`WorkerPool`] that keeps its workers alive
-//! across sweeps:
+//! A job is split into tiles of [`SWEEP_TILE`] probes of one kind. Leaf
+//! values are evaluated once per job into a job-wide leaf-value table on
+//! the submitting thread; each tile then runs the one per-tile skeleton
+//! ([`crate::kernel`]), generic over the semiring. With `threads <= 1` the
+//! jobs stream inline on the submitting thread; otherwise the tiles of all
+//! jobs are load-balanced across a persistent pool:
 //!
-//! * **pinned scratch** — each worker owns one [`WorkerScratch`] (a
-//!   [`BatchEvaluator`] plus a [`MaxProductEvaluator`]) for its whole
-//!   lifetime, so steady-state sweeps allocate nothing. The submitting
-//!   thread participates too, with a thread-local scratch of its own.
+//! * **pinned scratch** — each worker owns one tile scratch for its whole
+//!   lifetime. The submitting thread drains tiles too, with a thread-local
+//!   scratch that also holds the grow-only job-wide leaf-value tables, so
+//!   steady-state sweeps — inline ones in particular — allocate nothing.
 //! * **atomic tile cursor** — tiles are claimed by `fetch_add` on a shared
-//!   counter instead of popping a locked stack; claiming a tile is one
-//!   uncontended atomic op.
+//!   counter; claiming a tile is one uncontended atomic op.
 //! * **park/unpark idling** — idle workers block on a condvar and are woken
 //!   only when a job is published; an idle pool burns no CPU.
 //!
@@ -24,14 +27,9 @@
 //! the job still drains, and the payload is rethrown on the submitting
 //! thread.
 //!
-//! Determinism is unchanged from the scoped-thread implementation: a tile's
-//! result depends only on its own probes and its own scratch, never on which
-//! worker ran it or in what order, so every thread count (including the
-//! inline `threads <= 1` path) produces bitwise-identical results.
-//!
-//! One process-wide pool ([`WorkerPool::global`]) serves the free
-//! [`sweep_models`] function; embedders that want isolation (e.g. one pool
-//! per `Ensemble`) construct their own with [`WorkerPool::new`].
+//! Determinism: a tile's result depends only on its own probes and its own
+//! scratch, never on which thread ran it or in what order, so every thread
+//! count, tiling and kernel flavour produces bitwise-identical results.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -41,10 +39,16 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::arena::{ActiveSet, CompiledSpn};
-use crate::batch::{BatchEvaluator, SWEEP_TILE};
-use crate::kernel::{Expectation, LeafValueTable, MaxProduct};
-use crate::maxprod::{MaxProductEvaluator, MpeOutcome, MpeProbe};
+use crate::kernel::{Expectation, LeafValueTable, MaxProduct, SweepScratch};
+use crate::maxprod::{MpeOutcome, MpeProbe};
 use crate::SpnQuery;
+
+/// Queries evaluated per tile of a sweep. Bounds the scratch to
+/// `n_nodes × SWEEP_TILE` doubles (L2-resident for realistic models) no
+/// matter how large the batch is; tiles are independent — every query slot
+/// reads only its own normalized slots and its own scratch column — so
+/// tiling (and tile-parallel execution) never changes results.
+pub const SWEEP_TILE: usize = 32;
 
 /// Upper bound on pool workers — a backstop against pathological `threads`
 /// arguments, far above any realistic sweep parallelism.
@@ -67,9 +71,8 @@ pub fn default_threads() -> usize {
 /// Cooperative cancellation for an in-flight sweep, shared between the
 /// submitter (who owns the flag) and every thread draining its tiles.
 ///
-/// Workers check the flag each time they claim a tile off the cursor
-/// ([`WorkerScratch::run`]); once it reads cancelled, remaining tiles are
-/// *skipped*, leaving their outputs at the zeroed placeholder. The sweep
+/// Every thread checks the flag each time it claims a tile; once it reads
+/// cancelled, remaining tiles are *skipped*, leaving their outputs at the zeroed placeholder. The sweep
 /// still drains and joins normally — cancellation never tears the pool —
 /// but the outputs of a cancelled sweep are garbage, so callers must check
 /// [`CancelFlag::is_cancelled`] before trusting them.
@@ -132,11 +135,11 @@ pub enum TileFault {
 /// the serving chaos harness; production sweeps leave it unset.
 pub type TileFaultFn<'a> = dyn Fn() -> Option<TileFault> + Sync + 'a;
 
-/// One model's share of a fused multi-model sweep: an expectation-probe
-/// batch **and** a max-product probe batch against one compiled arena, each
-/// with a caller-owned output slice of the same length. Both batches belong
-/// to the same logical sweep — the model's sweep counter advances once per
-/// job, no matter which probe kinds it carries.
+/// One model's share of a fused sweep: an expectation-probe batch **and** a
+/// max-product probe batch against one compiled arena, each with a
+/// caller-owned output slice of the same length. Both batches belong to the
+/// same logical sweep — the model's sweep counter advances once per job, no
+/// matter which probe kinds it carries.
 pub struct SweepJob<'a> {
     pub spn: &'a CompiledSpn,
     pub queries: &'a [SpnQuery],
@@ -155,6 +158,10 @@ pub struct SweepJob<'a> {
     /// MPE probe's target column ([`CompiledSpn::active_set`]); pruned
     /// sweeps are then bitwise identical to full ones. `None` = full sweep.
     pub active: Option<&'a ActiveSet>,
+    /// Run the scalar reference kernels instead of the SIMD lane kernels.
+    /// Results are bitwise identical; differential tests and benches
+    /// compare the two.
+    pub scalar: bool,
 }
 
 impl<'a> SweepJob<'a> {
@@ -169,88 +176,160 @@ impl<'a> SweepJob<'a> {
             cancel: None,
             fault: None,
             active: None,
+            scalar: false,
         }
+    }
+
+    /// Max-product-only job (classification / MPE).
+    pub fn mpe(spn: &'a CompiledSpn, probes: &'a [MpeProbe], out: &'a mut [MpeOutcome]) -> Self {
+        Self {
+            mpe: probes,
+            mpe_out: out,
+            ..Self::expect(spn, &[], &mut [])
+        }
+    }
+
+    /// Check arities and count the job's sweep; `false` when the job
+    /// carries no probes (and then does not count).
+    fn open(&self) -> bool {
+        assert_eq!(
+            self.queries.len(),
+            self.out.len(),
+            "sweep job arity mismatch"
+        );
+        assert_eq!(
+            self.mpe.len(),
+            self.mpe_out.len(),
+            "sweep job MPE arity mismatch"
+        );
+        if self.queries.is_empty() && self.mpe.is_empty() {
+            return false;
+        }
+        self.spn.note_sweep();
+        true
+    }
+
+    /// Evaluate the job's leaf values once per (leaf, distinct slot) into
+    /// `tables[0]` (expectation probes) and `tables[1]` (MPE probes); the
+    /// tiles only gather from them.
+    fn build_tables(&self, tables: &mut [LeafValueTable]) {
+        if !self.queries.is_empty() {
+            tables[0].build::<Expectation>(self.spn, self.queries);
+        }
+        if !self.mpe.is_empty() {
+            tables[1].build::<MaxProduct>(self.spn, self.mpe);
+        }
+    }
+
+    /// Split the job into tiles over the tables [`SweepJob::build_tables`]
+    /// filled.
+    fn into_tiles(self, tables: &'a [LeafValueTable]) -> impl Iterator<Item = Tile<'a>> {
+        let hooks = Hooks {
+            spn: self.spn,
+            cancel: self.cancel,
+            fault: self.fault,
+            active: self.active,
+            simd: !self.scalar,
+        };
+        let expect = tiles(self.queries, self.out).map(move |(base, q, o)| Tile {
+            hooks,
+            table: &tables[0],
+            base,
+            part: Part::Expect(q, o),
+        });
+        let mpe = tiles(self.mpe, self.mpe_out).map(move |(base, p, o)| Tile {
+            hooks,
+            table: &tables[1],
+            base,
+            part: Part::Mpe(p, o),
+        });
+        expect.chain(mpe)
     }
 }
 
-/// A unit of worker work: one tile of one probe kind against one model,
-/// plus its job's cancel/fault hooks and prune set.
-struct Tile<'a> {
-    kind: TileKind<'a>,
+/// `(offset, probes, outputs)` per [`SWEEP_TILE`]-sized tile of one batch.
+fn tiles<'a, P, O>(
+    probes: &'a [P],
+    out: &'a mut [O],
+) -> impl Iterator<Item = (usize, &'a [P], &'a mut [O])> {
+    let chunks = probes.chunks(SWEEP_TILE).zip(out.chunks_mut(SWEEP_TILE));
+    chunks.enumerate().map(|(i, (p, o))| (i * SWEEP_TILE, p, o))
+}
+
+/// What every tile of one job shares.
+#[derive(Clone, Copy)]
+struct Hooks<'a> {
+    spn: &'a CompiledSpn,
     cancel: Option<&'a CancelFlag>,
     fault: Option<&'a TileFaultFn<'a>>,
     active: Option<&'a ActiveSet>,
+    simd: bool,
 }
 
-/// The tile's payload: one probe-kind chunk against one model, the job-wide
-/// leaf-value table the tile gathers from, and the tile's probe offset
-/// within its job batch.
-enum TileKind<'a> {
-    Expect(
-        &'a CompiledSpn,
-        &'a [SpnQuery],
-        &'a mut [f64],
-        &'a LeafValueTable,
-        usize,
-    ),
-    Mpe(
-        &'a CompiledSpn,
-        &'a [MpeProbe],
-        &'a mut [MpeOutcome],
-        &'a LeafValueTable,
-        usize,
-    ),
+/// One probe kind's slice of a tile, with its output slice.
+enum Part<'a> {
+    Expect(&'a [SpnQuery], &'a mut [f64]),
+    Mpe(&'a [MpeProbe], &'a mut [MpeOutcome]),
 }
 
-/// Per-worker evaluator scratch, pinned to its worker (or to the submitting
-/// thread) for the thread's lifetime so sweeps are allocation-free at
-/// steady state.
-#[derive(Default)]
-struct WorkerScratch {
-    expect: BatchEvaluator,
-    maxprod: MaxProductEvaluator,
+/// The unit a thread claims: one tile of one probe kind of one job, the
+/// job-wide leaf-value table it gathers from, and its probe offset within
+/// the job's batch.
+struct Tile<'a> {
+    hooks: Hooks<'a>,
+    table: &'a LeafValueTable,
+    base: usize,
+    part: Part<'a>,
 }
 
-impl WorkerScratch {
-    fn run(&mut self, tile: &mut Tile<'_>) {
+impl Tile<'_> {
+    fn run(&mut self, scratch: &mut SweepScratch) {
+        let Hooks {
+            spn,
+            cancel,
+            fault,
+            active,
+            simd,
+        } = self.hooks;
         // Chaos hook first: injected panics/delays land exactly where a
         // genuinely faulty or slow tile would.
-        if let Some(fault) = tile.fault {
-            match fault() {
-                Some(TileFault::Panic) => panic!("injected tile fault"),
-                Some(TileFault::Delay(d)) => std::thread::sleep(d),
-                None => {}
-            }
+        match fault.and_then(|f| f()) {
+            Some(TileFault::Panic) => panic!("injected tile fault"),
+            Some(TileFault::Delay(d)) => std::thread::sleep(d),
+            None => {}
         }
         // Cooperative cancellation: skip the arithmetic, keep the drain
         // protocol (the claimed index is already consumed, outputs stay
         // zeroed, and the job still joins normally).
-        if tile.cancel.is_some_and(|c| c.is_cancelled()) {
+        if cancel.is_some_and(|c| c.is_cancelled()) {
             return;
         }
-        match &mut tile.kind {
-            TileKind::Expect(spn, queries, out, table, base) => {
-                self.expect
-                    .evaluate_chunk_shared(spn, queries, table, *base, out, tile.active)
+        let (table, base) = (self.table, self.base);
+        match &mut self.part {
+            Part::Expect(q, o) => {
+                scratch.sweep::<Expectation>(spn, q, table, base, simd, active, o)
             }
-            TileKind::Mpe(spn, probes, out, table, base) => {
-                self.maxprod
-                    .evaluate_chunk_shared(spn, probes, table, *base, out, tile.active)
-            }
+            Part::Mpe(p, o) => scratch.sweep::<MaxProduct>(spn, p, table, base, simd, active, o),
         }
     }
 }
 
+/// The submitting thread's own sweep scratch: the tile scratch it drains
+/// tiles with, and the grow-only job-wide leaf-value tables (two per job).
+#[derive(Default)]
+struct SubmitterScratch {
+    tile: SweepScratch,
+    tables: Vec<LeafValueTable>,
+}
+
 thread_local! {
-    /// The submitting thread's own pinned scratch — it drains tiles
-    /// alongside the workers.
-    static SUBMITTER_SCRATCH: RefCell<WorkerScratch> = RefCell::new(WorkerScratch::default());
+    static SUBMITTER: RefCell<SubmitterScratch> = RefCell::new(SubmitterScratch::default());
 }
 
 /// A tile-claiming closure: returns `false` once the cursor is exhausted.
 /// The `'static` is a checked lie — see the completion handshake in
 /// [`WorkerPool::run_tiles`].
-type Task = dyn Fn(&mut WorkerScratch) -> bool + Sync;
+type Task = dyn Fn(&mut SweepScratch) -> bool + Sync;
 
 /// Pool state a job transitions through, guarded by one mutex.
 struct JobState {
@@ -299,8 +378,8 @@ impl TilePtr {
 
 /// A persistent sweep worker pool. Workers are spawned lazily on first
 /// parallel use (up to the requested thread count), park between jobs, and
-/// live until the pool is dropped. Dropping the pool (or process exit for
-/// [`WorkerPool::global`]) shuts the workers down.
+/// live until the pool is dropped. Dropping the pool shuts the workers
+/// down. Inline sweeps (`threads <= 1`) never touch the pool's state.
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
@@ -345,106 +424,60 @@ impl WorkerPool {
         }
     }
 
-    /// The process-wide pool behind [`sweep_models`].
-    pub fn global() -> &'static WorkerPool {
-        static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-        GLOBAL.get_or_init(WorkerPool::new)
-    }
-
-    /// Execute one fused sweep per job, the tiles of **all** jobs
-    /// load-balanced across up to `threads` threads (the submitting thread
-    /// included). `threads == 0` means [`default_threads`]. Results are
-    /// bitwise identical for every thread count.
-    pub fn sweep(&self, jobs: Vec<SweepJob<'_>>, threads: usize) {
+    /// Execute one fused sweep per job — the only way to sweep an arena.
+    /// With `threads <= 1` every job runs inline on the calling thread, one
+    /// after the other, from grow-only thread-local scratch: no handoff, no
+    /// locks, no allocation at steady state. Otherwise the tiles of **all**
+    /// jobs are load-balanced across up to `threads` threads (the submitting
+    /// thread included); `threads == 0` means [`default_threads`]. Results
+    /// are bitwise identical for every thread count.
+    pub fn sweep<'a>(&self, jobs: impl IntoIterator<Item = SweepJob<'a>>, threads: usize) {
         let threads = if threads == 0 {
             default_threads()
         } else {
             threads
         };
-        // Build one job-wide leaf-value table per probe kind per job on the
-        // submitting thread: every (leaf, distinct slot) pair is evaluated
-        // exactly once per job, and the tiles below only gather from it.
-        let mut tables: Vec<(LeafValueTable, LeafValueTable)> = Vec::with_capacity(jobs.len());
-        for job in &jobs {
-            let mut t = (LeafValueTable::default(), LeafValueTable::default());
-            if !job.queries.is_empty() {
-                t.0.build::<Expectation>(job.spn, job.queries);
+        SUBMITTER.with(|s| {
+            let SubmitterScratch { tile, tables } = &mut *s.borrow_mut();
+            if threads <= 1 {
+                if tables.len() < 2 {
+                    tables.resize_with(2, LeafValueTable::default);
+                }
+                for job in jobs.into_iter().filter(SweepJob::open) {
+                    job.build_tables(tables);
+                    for mut t in job.into_tiles(tables) {
+                        t.run(tile);
+                    }
+                }
+                return;
             }
-            if !job.mpe.is_empty() {
-                t.1.build::<MaxProduct>(job.spn, job.mpe);
+            let jobs: Vec<SweepJob<'_>> = jobs.into_iter().filter(SweepJob::open).collect();
+            if tables.len() < 2 * jobs.len() {
+                tables.resize_with(2 * jobs.len(), LeafValueTable::default);
             }
-            tables.push(t);
-        }
-        // Split every job into independent per-kind tiles.
-        let mut tiles: Vec<Tile<'_>> = Vec::new();
-        for (job, tabs) in jobs.into_iter().zip(&tables) {
-            let SweepJob {
-                spn,
-                mut queries,
-                mut out,
-                mut mpe,
-                mut mpe_out,
-                cancel,
-                fault,
-                active,
-            } = job;
-            assert_eq!(queries.len(), out.len(), "sweep job arity mismatch");
-            assert_eq!(mpe.len(), mpe_out.len(), "sweep job MPE arity mismatch");
-            if queries.is_empty() && mpe.is_empty() {
-                continue;
+            for (job, t) in jobs.iter().zip(tables.chunks_mut(2)) {
+                job.build_tables(t);
             }
-            // Both probe kinds of one job are one fused sweep of the model.
-            spn.note_sweep();
-            let mut base = 0;
-            while !queries.is_empty() {
-                let k = queries.len().min(SWEEP_TILE);
-                let (q_head, q_tail) = queries.split_at(k);
-                let (o_head, o_tail) = std::mem::take(&mut out).split_at_mut(k);
-                tiles.push(Tile {
-                    kind: TileKind::Expect(spn, q_head, o_head, &tabs.0, base),
-                    cancel,
-                    fault,
-                    active,
-                });
-                queries = q_tail;
-                out = o_tail;
-                base += k;
-            }
-            let mut base = 0;
-            while !mpe.is_empty() {
-                let k = mpe.len().min(SWEEP_TILE);
-                let (p_head, p_tail) = mpe.split_at(k);
-                let (o_head, o_tail) = std::mem::take(&mut mpe_out).split_at_mut(k);
-                tiles.push(Tile {
-                    kind: TileKind::Mpe(spn, p_head, o_head, &tabs.1, base),
-                    cancel,
-                    fault,
-                    active,
-                });
-                mpe = p_tail;
-                mpe_out = o_tail;
-                base += k;
-            }
-        }
-        self.run_tiles(&mut tiles, threads);
+            let mut tiles: Vec<Tile<'_>> = jobs
+                .into_iter()
+                .zip(tables.chunks(2))
+                .flat_map(|(job, t)| job.into_tiles(t))
+                .collect();
+            self.run_tiles(&mut tiles, threads, tile);
+        })
     }
 
-    /// Drain `tiles` across the submitting thread plus up to `threads - 1`
-    /// pool workers.
-    fn run_tiles(&self, tiles: &mut [Tile<'_>], threads: usize) {
+    /// Drain `tiles` across the submitting thread (with its own `scratch`)
+    /// plus up to `threads - 1` pool workers.
+    fn run_tiles(&self, tiles: &mut [Tile<'_>], threads: usize, scratch: &mut SweepScratch) {
         let n = tiles.len();
         let helpers = threads.clamp(1, MAX_WORKERS).min(n.max(1)) - 1;
         if helpers == 0 {
-            // Inline path: no handoff, no locks; same per-tile arithmetic.
-            SUBMITTER_SCRATCH.with(|s| {
-                let scratch = &mut *s.borrow_mut();
-                for tile in tiles.iter_mut() {
-                    scratch.run(tile);
-                }
-            });
+            for tile in tiles.iter_mut() {
+                tile.run(scratch);
+            }
             return;
         }
-
         let _submit = self.submit.lock().unwrap_or_else(PoisonError::into_inner);
         self.ensure_workers(helpers);
 
@@ -458,13 +491,13 @@ impl WorkerPool {
         // the tiles again. The erased borrows therefore never outlive the
         // data they point to.
         let tiles_ptr = TilePtr(tiles.as_mut_ptr().cast());
-        let task = move |scratch: &mut WorkerScratch| -> bool {
+        let task = move |scratch: &mut SweepScratch| -> bool {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 return false;
             }
             let tile = unsafe { &mut *tiles_ptr.get().add(i) };
-            scratch.run(tile);
+            tile.run(scratch);
             true
         };
         let task_ref: &Task = &task;
@@ -483,12 +516,7 @@ impl WorkerPool {
         // The submitter drains tiles too, with its own pinned scratch. A
         // panic here must not skip the close-and-wait handshake, so it is
         // caught and rethrown after the stragglers retire.
-        let own = catch_unwind(AssertUnwindSafe(|| {
-            SUBMITTER_SCRATCH.with(|s| {
-                let scratch = &mut *s.borrow_mut();
-                while task(scratch) {}
-            })
-        }));
+        let own = catch_unwind(AssertUnwindSafe(|| while task(scratch) {}));
 
         // Close the job and wait for every joined worker to retire.
         let worker_panic = {
@@ -542,7 +570,7 @@ impl Drop for WorkerPool {
 /// Body of one pool worker: park until a job epoch opens, drain its tile
 /// cursor with the pinned scratch, report completion, repeat.
 fn worker_loop(shared: Arc<Shared>) {
-    let mut scratch = WorkerScratch::default();
+    let mut scratch = SweepScratch::default();
     let mut seen = 0u64;
     loop {
         let task = {
@@ -570,7 +598,7 @@ fn worker_loop(shared: Arc<Shared>) {
         let mut job = shared.lock_job();
         if let Err(payload) = result {
             // The scratch may be mid-update; replace it wholesale.
-            scratch = WorkerScratch::default();
+            scratch = SweepScratch::default();
             if job.panic.is_none() {
                 job.panic = Some(payload);
             }
@@ -580,90 +608,38 @@ fn worker_loop(shared: Arc<Shared>) {
     }
 }
 
-/// Execute one fused sweep per job on the process-wide [`WorkerPool`], the
-/// tiles of **all** jobs load-balanced across up to `threads` threads
-/// (`0` = [`default_threads`]). Each participating thread owns pinned
-/// evaluator scratch, so evaluation only needs `&CompiledSpn`.
-///
-/// Results are bitwise identical for every thread count (including the
-/// inline `threads <= 1` path): a query's value depends only on its own
-/// normalized slots and its own scratch column, never on tile-mates or
-/// scheduling order, and each tile writes a disjoint output range.
-pub fn sweep_models(jobs: Vec<SweepJob<'_>>, threads: usize) {
-    WorkerPool::global().sweep(jobs, threads)
-}
-
-/// Allocation-free single-threaded fused sweep for prepared queries.
-///
-/// [`WorkerPool::sweep`] builds fresh per-job leaf-value tables and a tile
-/// vector on every call — fine for ad-hoc plans, but a prepared query that
-/// executes thousands of times wants a **zero-allocation** steady state.
-/// `InlineSweep` owns both job-wide tables (grow-only, reassigned in place
-/// per sweep) and drives the tiles inline on the calling thread with its
-/// thread-local pinned scratch. The per-tile arithmetic is the same
-/// [`crate::BatchEvaluator`] chunk path every other sweep runs, so results
-/// are bitwise identical to pooled and ad-hoc execution.
-#[derive(Debug, Clone, Default)]
-pub struct InlineSweep {
-    expect_table: LeafValueTable,
-    mpe_table: LeafValueTable,
-}
-
-impl InlineSweep {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// One fused sweep of one model: expectation probes and max-product
-    /// probes (either batch may be empty), outputs written in probe order.
-    /// `active` prunes every tile of the sweep to the job's active sub-DAG
-    /// (same contract as [`SweepJob::active`]). Advances the model's sweep
-    /// counter once when any probe ran.
-    pub fn sweep(
-        &mut self,
-        spn: &CompiledSpn,
-        queries: &[SpnQuery],
-        out: &mut [f64],
-        mpe: &[MpeProbe],
-        mpe_out: &mut [MpeOutcome],
-        active: Option<&ActiveSet>,
-    ) {
-        assert_eq!(queries.len(), out.len(), "sweep job arity mismatch");
-        assert_eq!(mpe.len(), mpe_out.len(), "sweep job MPE arity mismatch");
-        if queries.is_empty() && mpe.is_empty() {
-            return;
-        }
-        if !queries.is_empty() {
-            self.expect_table.build::<Expectation>(spn, queries);
-        }
-        if !mpe.is_empty() {
-            self.mpe_table.build::<MaxProduct>(spn, mpe);
-        }
-        spn.note_sweep();
-        SUBMITTER_SCRATCH.with(|s| {
-            let scratch = &mut *s.borrow_mut();
-            let mut base = 0;
-            for (q, o) in queries.chunks(SWEEP_TILE).zip(out.chunks_mut(SWEEP_TILE)) {
-                scratch
-                    .expect
-                    .evaluate_chunk_shared(spn, q, &self.expect_table, base, o, active);
-                base += q.len();
-            }
-            let mut base = 0;
-            for (p, o) in mpe.chunks(SWEEP_TILE).zip(mpe_out.chunks_mut(SWEEP_TILE)) {
-                scratch
-                    .maxprod
-                    .evaluate_chunk_shared(spn, p, &self.mpe_table, base, o, active);
-                base += p.len();
-            }
-        });
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{ColumnMeta, DataView, LeafPred, Spn, SpnParams};
+    use crate::{ColumnMeta, DataView, LeafFunc, LeafPred, Spn, SpnParams};
+
+    /// One inline sweep of `queries` against `spn`.
+    pub(crate) fn expect_all(spn: &CompiledSpn, queries: &[SpnQuery], scalar: bool) -> Vec<f64> {
+        let mut out = vec![0.0; queries.len()];
+        let mut job = SweepJob::expect(spn, queries, &mut out);
+        job.scalar = scalar;
+        WorkerPool::new().sweep([job], 1);
+        out
+    }
+
+    /// One inline max-product sweep of `probes` against `spn`.
+    pub(crate) fn mpe_all(spn: &CompiledSpn, probes: &[MpeProbe], scalar: bool) -> Vec<MpeOutcome> {
+        let mut out = vec![MpeOutcome::default(); probes.len()];
+        let mut job = SweepJob::mpe(spn, probes, &mut out);
+        job.scalar = scalar;
+        WorkerPool::new().sweep([job], 1);
+        out
+    }
+
+    /// One inline sweep of a single expectation query.
+    pub(crate) fn expect_one(spn: &CompiledSpn, query: &SpnQuery) -> f64 {
+        expect_all(spn, std::slice::from_ref(query), false)[0]
+    }
+
+    /// Most probable value of `target` given `query`, on one inline sweep.
+    pub(crate) fn mpe_one(spn: &CompiledSpn, target: usize, query: &SpnQuery) -> Option<f64> {
+        mpe_all(spn, &[MpeProbe::new(target, query.clone())], false)[0].value
+    }
 
     fn model() -> Spn {
         let cols = vec![
@@ -672,6 +648,235 @@ mod tests {
         ];
         let meta = vec![ColumnMeta::discrete("a"), ColumnMeta::discrete("b")];
         Spn::learn(DataView::new(&cols, &meta), &SpnParams::default())
+    }
+
+    fn other_model() -> Spn {
+        let cols = vec![vec![5.0, 6.0, 7.0, 5.0], vec![1.0, 1.0, 2.0, 2.0]];
+        let meta = vec![ColumnMeta::discrete("x"), ColumnMeta::discrete("y")];
+        Spn::learn(DataView::new(&cols, &meta), &SpnParams::default())
+    }
+
+    fn probe_mix() -> Vec<SpnQuery> {
+        vec![
+            SpnQuery::new(2),
+            SpnQuery::new(2).with_pred(0, LeafPred::eq(0.0)),
+            SpnQuery::new(2).with_pred(0, LeafPred::IsNull),
+            SpnQuery::new(2)
+                .with_pred(1, LeafPred::ge(30.0))
+                .with_func(1, LeafFunc::X),
+            SpnQuery::new(2).with_func(0, LeafFunc::InvClamp1),
+        ]
+    }
+
+    #[test]
+    fn batch_matches_sequential_single_queries() {
+        let mut spn = model();
+        let compiled = spn.compile();
+        let queries = probe_mix();
+        let batch = expect_all(&compiled, &queries, false);
+        assert_eq!(batch.len(), queries.len());
+        for (i, q) in queries.iter().enumerate() {
+            let single = spn.evaluate(q);
+            assert!(
+                (batch[i] - single).abs() < 1e-12,
+                "query {i}: batch {} vs recursive {single}",
+                batch[i]
+            );
+        }
+    }
+
+    #[test]
+    fn simd_and_scalar_kernels_agree_bitwise() {
+        let compiled = model().compile();
+        // Batch sizes straddling tile and lane boundaries, including the
+        // degenerate single-query lane.
+        let base = probe_mix();
+        for n in [1, 2, 3, 4, 5, 31, 32, 33, 65] {
+            let queries: Vec<SpnQuery> = (0..n).map(|i| base[i % base.len()].clone()).collect();
+            let simd = expect_all(&compiled, &queries, false);
+            let scalar = expect_all(&compiled, &queries, true);
+            let simd_bits: Vec<u64> = simd.iter().map(|v| v.to_bits()).collect();
+            let scalar_bits: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(simd_bits, scalar_bits, "batch size {n}");
+        }
+    }
+
+    /// Degenerate structures the SIMD kernels must not mishandle:
+    /// single-child sum and product runs, and an all-zero-weight sum node
+    /// (every edge skipped → the node evaluates to exactly 0.0).
+    #[test]
+    fn degenerate_nodes_agree_simd_scalar_recursive() {
+        use crate::node::{Node, ProductNode, SumNode};
+        use crate::Leaf;
+        fn leaf_over(values: &[f64], col: usize) -> Leaf {
+            let cols = vec![values.to_vec()];
+            let meta = vec![ColumnMeta::discrete("x")];
+            let data = DataView::new(&cols, &meta);
+            let rows: Vec<u32> = (0..values.len() as u32).collect();
+            let mut leaf = Leaf::build(&data, &rows, 0, 1000, 16);
+            leaf.col = col;
+            leaf
+        }
+        // root sum ── single-child product ── single-child sum ── leaf(col 0)
+        //          └─ zero-weight leaf(col 0)        (counts [4, 0])
+        let root = Node::Sum(SumNode {
+            scope: vec![0],
+            children: vec![
+                Node::Product(ProductNode {
+                    scope: vec![0],
+                    children: vec![Node::Sum(SumNode {
+                        scope: vec![0],
+                        children: vec![Node::Leaf(leaf_over(&[1.0, 1.0, 2.0, 5.0], 0))],
+                        counts: vec![4],
+                        centroids: vec![vec![0.0]],
+                        norm: vec![(0.0, 1.0)],
+                    })],
+                }),
+                Node::Leaf(leaf_over(&[9.0], 0)),
+            ],
+            counts: vec![4, 0],
+            centroids: vec![vec![-1.0], vec![1.0]],
+            norm: vec![(0.0, 1.0)],
+        });
+        let mut spn = crate::Spn::new(root, vec![ColumnMeta::discrete("x")], 4);
+        let compiled = spn.compile();
+        // 33 queries straddle a tile boundary AND leave a partial lane.
+        let queries: Vec<SpnQuery> = (0..33)
+            .map(|i| match i % 4 {
+                0 => SpnQuery::new(1),
+                1 => SpnQuery::new(1).with_pred(0, LeafPred::eq(1.0)),
+                2 => SpnQuery::new(1).with_pred(0, LeafPred::eq(9.0)), // zero-weight branch only
+                _ => SpnQuery::new(1).with_func(0, LeafFunc::X),
+            })
+            .collect();
+        let simd = expect_all(&compiled, &queries, false);
+        let scalar = expect_all(&compiled, &queries, true);
+        for (i, (s, c)) in simd.iter().zip(&scalar).enumerate() {
+            assert_eq!(s.to_bits(), c.to_bits(), "query {i}: simd vs scalar");
+            let want = spn.evaluate(&queries[i]);
+            assert!(
+                (s - want).abs() < 1e-12,
+                "query {i}: {s} vs recursive {want}"
+            );
+        }
+        // The zero-weight branch is dead: probability of its exclusive
+        // value is exactly 0 on every path.
+        assert_eq!(simd[2].to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn submitter_scratch_is_reusable_across_models() {
+        let (ca, cb) = (model().compile(), other_model().compile());
+        let qa = vec![SpnQuery::new(2)];
+        let qb = vec![SpnQuery::new(2).with_pred(0, LeafPred::eq(5.0))];
+        assert!((expect_all(&ca, &qa, false)[0] - 1.0).abs() < 1e-12);
+        assert!((expect_all(&cb, &qb, false)[0] - 0.5).abs() < 1e-12);
+        // And back again.
+        assert!((expect_all(&ca, &qa, false)[0] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_batch_is_empty() {
+        let compiled = model().compile();
+        assert!(expect_all(&compiled, &[], false).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "arity")]
+    fn arity_mismatch_panics() {
+        let compiled = model().compile();
+        expect_all(&compiled, &[SpnQuery::new(3)], false);
+    }
+
+    #[test]
+    fn pool_sweep_matches_inline_bitwise_any_thread_count() {
+        let (ca, cb) = (model().compile(), other_model().compile());
+        // Batches larger than one tile so the parallel path actually splits.
+        let base = probe_mix();
+        let qa: Vec<SpnQuery> = (0..100).map(|i| base[i % base.len()].clone()).collect();
+        let qb: Vec<SpnQuery> = (0..67)
+            .map(|i| SpnQuery::new(2).with_pred(0, LeafPred::eq(5.0 + (i % 3) as f64)))
+            .collect();
+        let want_a = expect_all(&ca, &qa, false);
+        let want_b = expect_all(&cb, &qb, false);
+
+        let pool = WorkerPool::new();
+        for threads in [1, 2, 4, 7] {
+            let mut got_a = vec![0.0; qa.len()];
+            let mut got_b = vec![0.0; qb.len()];
+            pool.sweep(
+                [
+                    SweepJob::expect(&ca, &qa, &mut got_a),
+                    SweepJob::expect(&cb, &qb, &mut got_b),
+                ],
+                threads,
+            );
+            assert_eq!(got_a, want_a, "model a, {threads} threads");
+            assert_eq!(got_b, want_b, "model b, {threads} threads");
+        }
+    }
+
+    #[test]
+    fn sweep_counting_is_per_model_per_batch() {
+        let compiled = model().compile();
+        let pool = WorkerPool::new();
+        let queries: Vec<SpnQuery> = (0..80).map(|_| SpnQuery::new(2)).collect();
+        let before = compiled.sweep_count();
+        // One inline job = one sweep, regardless of tile count.
+        expect_all(&compiled, &queries, false);
+        assert_eq!(compiled.sweep_count(), before + 1);
+        // One pooled job = one sweep, even multi-threaded.
+        let mut out = vec![0.0; queries.len()];
+        pool.sweep([SweepJob::expect(&compiled, &queries, &mut out)], 4);
+        assert_eq!(compiled.sweep_count(), before + 2);
+        // Empty jobs don't count.
+        pool.sweep([SweepJob::expect(&compiled, &[], &mut [])], 2);
+        pool.sweep([SweepJob::expect(&compiled, &[], &mut [])], 1);
+        assert_eq!(compiled.sweep_count(), before + 2);
+        // A job carrying both probe kinds still counts as ONE sweep.
+        let probes: Vec<MpeProbe> = (0..40)
+            .map(|i| MpeProbe::new(0, SpnQuery::new(2).with_pred(1, LeafPred::ge(i as f64))))
+            .collect();
+        let mut mpe_out = vec![MpeOutcome::default(); probes.len()];
+        for threads in [4, 1] {
+            let mut job = SweepJob::mpe(&compiled, &probes, &mut mpe_out);
+            (job.queries, job.out) = (&queries, &mut out);
+            pool.sweep([job], threads);
+        }
+        assert_eq!(compiled.sweep_count(), before + 4);
+    }
+
+    #[test]
+    fn mixed_sweep_matches_single_kind_jobs_any_thread_count() {
+        let mut spn = model();
+        let compiled = spn.compile();
+        let queries = probe_mix();
+        let probes: Vec<MpeProbe> = (0..70)
+            .map(|i| {
+                MpeProbe::new(
+                    i % 2,
+                    SpnQuery::new(2).with_pred(1 - i % 2, LeafPred::ge((i % 4) as f64 * 10.0)),
+                )
+            })
+            .collect();
+        let want_q = expect_all(&compiled, &queries, false);
+        let want_p = mpe_all(&compiled, &probes, false);
+        // And both must equal the recursive oracle.
+        for (p, w) in probes.iter().zip(&want_p) {
+            let (score, value) = spn.mpe_outcome(p.target, &p.query);
+            assert_eq!(w.value, value);
+            assert_eq!(w.score.to_bits(), score.to_bits());
+        }
+        let pool = WorkerPool::new();
+        for threads in [1, 2, 4] {
+            let mut got_q = vec![0.0; queries.len()];
+            let mut got_p = vec![MpeOutcome::default(); probes.len()];
+            let mut job = SweepJob::mpe(&compiled, &probes, &mut got_p);
+            (job.queries, job.out) = (&queries, &mut got_q);
+            pool.sweep([job], threads);
+            assert_eq!(got_q, want_q, "{threads} threads");
+            assert_eq!(got_p, want_p, "{threads} threads");
+        }
     }
 
     #[test]
@@ -702,10 +907,9 @@ mod tests {
         let spn = model();
         let compiled = spn.compile();
         let queries: Vec<SpnQuery> = (0..3 * SWEEP_TILE).map(|_| SpnQuery::new(2)).collect();
-        let mut want = vec![0.0; queries.len()];
-        sweep_models(vec![SweepJob::expect(&compiled, &queries, &mut want)], 1);
+        let want = expect_all(&compiled, &queries, false);
         let mut got = vec![0.0; queries.len()];
-        sweep_models(vec![SweepJob::expect(&compiled, &queries, &mut got)], 0);
+        WorkerPool::new().sweep([SweepJob::expect(&compiled, &queries, &mut got)], 0);
         assert_eq!(got, want);
         assert!(default_threads() >= 1 && default_threads() <= 16);
     }
@@ -725,19 +929,7 @@ mod tests {
             std::thread::spawn(move || {
                 let mut out = vec![MpeOutcome::default(); bad.len()];
                 catch_unwind(AssertUnwindSafe(|| {
-                    pool.sweep(
-                        vec![SweepJob {
-                            spn: &compiled,
-                            queries: &[],
-                            out: &mut [],
-                            mpe: &bad,
-                            mpe_out: &mut out,
-                            cancel: None,
-                            fault: None,
-                            active: None,
-                        }],
-                        4,
-                    )
+                    pool.sweep([SweepJob::mpe(&compiled, &bad, &mut out)], 4)
                 }))
                 .is_err()
             })
@@ -761,14 +953,9 @@ mod tests {
         fault: Option<&'a TileFaultFn<'a>>,
     ) -> SweepJob<'a> {
         SweepJob {
-            spn: compiled,
-            queries,
-            out,
-            mpe: &[],
-            mpe_out: &mut [],
             cancel,
             fault,
-            active: None,
+            ..SweepJob::expect(compiled, queries, out)
         }
     }
 

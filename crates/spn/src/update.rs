@@ -339,6 +339,7 @@ impl Spn {
 
 #[cfg(test)]
 mod tests {
+    use crate::pool::tests::expect_one;
     use crate::{ColumnMeta, DataView, LeafPred, Spn, SpnParams, SpnQuery};
 
     fn lcg(seed: u64) -> impl FnMut() -> f64 {
@@ -473,7 +474,7 @@ mod tests {
             spn.insert_patch(&mut arena, &[0.0, 20.0 + (i % 10) as f64]);
         }
         // The arena answered without any recompilation…
-        assert!(arena.evaluate(&q) > 0.1);
+        assert!(expect_one(&arena, &q) > 0.1);
         // …and matches a from-scratch compile bit for bit.
         assert!(arena.bitwise_eq(&spn.compile()));
 
@@ -511,7 +512,7 @@ mod tests {
         let empty = SpnQuery::new(2);
         assert_eq!(
             arena.neutral_expect[root].to_bits(),
-            arena.evaluate(&empty).to_bits(),
+            expect_one(&arena, &empty).to_bits(),
             "neutral root must be rebuilt to the empty-query sweep value"
         );
         assert!(

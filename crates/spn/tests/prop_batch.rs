@@ -3,36 +3,63 @@
 //! batches — including NULL handling (`IsNull`/`IsNotNull`), `In`/`NotIn`
 //! sets, one- and two-sided ranges, and every moment slot (`X`, `X²`,
 //! `InvClamp1`, `InvSqClamp1`). The SIMD kernels are additionally held to
-//! **bitwise** equality against the scalar reference path
-//! ([`BatchEvaluator::evaluate_scalar`]), across tile- and lane-boundary
-//! batch shapes and in-place update streams.
+//! **bitwise** equality against the scalar reference kernels
+//! ([`SweepJob::scalar`]), across tile- and lane-boundary batch shapes,
+//! in-place update streams, and models of different widths swept
+//! alternately from one thread's reused scratch.
 
 use deepdb_spn::{
-    BatchEvaluator, ColumnMeta, DataView, LeafFunc, LeafPred, Spn, SpnParams, SpnQuery,
+    ColumnMeta, CompiledSpn, DataView, LeafFunc, LeafPred, Spn, SpnParams, SpnQuery, SweepJob,
+    WorkerPool,
 };
 use proptest::prelude::*;
+
+/// One inline sweep of `queries` on this thread's reused scratch.
+fn sweep(spn: &CompiledSpn, queries: &[SpnQuery], scalar: bool) -> Vec<f64> {
+    let mut out = vec![0.0; queries.len()];
+    let mut job = SweepJob::expect(spn, queries, &mut out);
+    job.scalar = scalar;
+    WorkerPool::new().sweep([job], 1);
+    out
+}
+
+/// The same sweep on a new thread, whose scratch starts empty.
+fn sweep_fresh(spn: &CompiledSpn, queries: &[SpnQuery]) -> Vec<f64> {
+    std::thread::scope(|s| s.spawn(|| sweep(spn, queries, false)).join().unwrap())
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
 
 /// Learn a 3-column SPN: a small discrete column, a wider discrete column,
 /// and a factor-like column where `0` encodes NULL (exercises the NULL slot
 /// and the clamped-inverse moments).
 fn learn(rows: &[(i64, i64, i64)]) -> Spn {
+    learn_cols(rows, 3)
+}
+
+/// Learn an SPN over the first `n_cols` of those columns.
+fn learn_cols(rows: &[(i64, i64, i64)], n_cols: usize) -> Spn {
     let a: Vec<f64> = rows.iter().map(|&(x, _, _)| x as f64).collect();
     let b: Vec<f64> = rows.iter().map(|&(_, y, _)| y as f64).collect();
     let f: Vec<f64> = rows
         .iter()
         .map(|&(_, _, z)| if z == 0 { f64::NAN } else { z as f64 })
         .collect();
-    let meta = vec![
+    let meta = [
         ColumnMeta::discrete("a"),
         ColumnMeta::discrete("b"),
         ColumnMeta::discrete("f"),
     ];
-    let cols = vec![a, b, f];
+    let mut cols = vec![a, b, f];
+    cols.truncate(n_cols);
+    let meta = &meta[..n_cols];
     let params = SpnParams {
         rdc_sample_rows: 400,
         ..SpnParams::default()
     };
-    Spn::learn(DataView::new(&cols, &meta), &params)
+    Spn::learn(DataView::new(&cols, meta), &params)
 }
 
 const FUNCS: [LeafFunc; 5] = [
@@ -46,8 +73,14 @@ const FUNCS: [LeafFunc; 5] = [
 /// Build one query from a list of slot specs
 /// `(col, pred_kind, v1, v2, func_kind)`.
 fn build_query(specs: &[(usize, i64, i64, i64, usize)]) -> SpnQuery {
-    let mut q = SpnQuery::new(3);
+    build_query_cols(specs, 3)
+}
+
+/// [`build_query`] over an `n_cols`-wide model (columns wrap around).
+fn build_query_cols(specs: &[(usize, i64, i64, i64, usize)], n_cols: usize) -> SpnQuery {
+    let mut q = SpnQuery::new(n_cols);
     for &(col, kind, v1, v2, func) in specs {
+        let col = col % n_cols;
         let (lo, hi) = (v1.min(v2) as f64, v1.max(v2) as f64);
         match kind {
             0 => q.add_pred(
@@ -88,7 +121,7 @@ proptest! {
         let mut spn = learn(&rows);
         let compiled = spn.compile();
         let queries: Vec<SpnQuery> = batch.iter().map(|specs| build_query(specs)).collect();
-        let got = BatchEvaluator::new().evaluate(&compiled, &queries);
+        let got = sweep(&compiled, &queries, false);
         prop_assert_eq!(got.len(), queries.len());
         for (i, q) in queries.iter().enumerate() {
             let want = spn.evaluate(q);
@@ -98,7 +131,7 @@ proptest! {
             );
         }
         // The SIMD kernels must reproduce the scalar path bit for bit.
-        let scalar = BatchEvaluator::new().evaluate_scalar(&compiled, &queries);
+        let scalar = sweep(&compiled, &queries, true);
         for (i, (s, c)) in got.iter().zip(&scalar).enumerate() {
             prop_assert_eq!(
                 s.to_bits(), c.to_bits(),
@@ -108,9 +141,11 @@ proptest! {
     }
 
     /// SIMD ≡ scalar bitwise at every tile/lane-boundary batch size — 31,
-    /// 32, 33, 65 straddle the sweep tile (32) and partial-lane shapes —
-    /// with one shared evaluator so scratch reuse across differing strides
-    /// is exercised too.
+    /// 32, 33, 65 straddle the sweep tile (32) and partial-lane shapes.
+    /// Every size also sweeps a narrower second model right after, on the
+    /// same thread, so the reused scratch alternates between models of
+    /// different widths and batch shapes; both must match sweeps from
+    /// fresh scratch bitwise.
     #[test]
     fn simd_matches_scalar_bitwise_on_boundary_batches(
         rows in prop::collection::vec((0i64..6, 0i64..40, 0i64..5), 20..200),
@@ -118,19 +153,27 @@ proptest! {
     ) {
         let mut spn = learn(&rows);
         let compiled = spn.compile();
+        let narrow = learn_cols(&rows, 2).compile();
         let pool: Vec<SpnQuery> = specs
             .iter()
             .map(|s| build_query(std::slice::from_ref(s)))
             .collect();
-        let mut ev = BatchEvaluator::new();
         for n in [1usize, 3, 4, 31, 32, 33, 65] {
             let queries: Vec<SpnQuery> =
                 (0..n).map(|i| pool[i % pool.len()].clone()).collect();
-            let simd = ev.evaluate(&compiled, &queries);
-            let scalar = ev.evaluate_scalar(&compiled, &queries);
-            let simd_bits: Vec<u64> = simd.iter().map(|v| v.to_bits()).collect();
-            let scalar_bits: Vec<u64> = scalar.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(simd_bits, scalar_bits, "batch size {}", n);
+            let simd = sweep(&compiled, &queries, false);
+            let narrow_queries: Vec<SpnQuery> = (0..n + 7)
+                .map(|i| build_query_cols(std::slice::from_ref(&specs[i % specs.len()]), 2))
+                .collect();
+            let narrow_got = sweep(&narrow, &narrow_queries, false);
+            let scalar = sweep(&compiled, &queries, true);
+            prop_assert_eq!(bits(&simd), bits(&scalar), "batch size {}", n);
+            prop_assert_eq!(bits(&simd), bits(&sweep_fresh(&compiled, &queries)), "batch size {}", n);
+            prop_assert_eq!(
+                bits(&narrow_got),
+                bits(&sweep_fresh(&narrow, &narrow_queries)),
+                "narrow model, batch size {}", n + 7
+            );
             let recursive: Vec<f64> = queries.iter().map(|q| spn.evaluate(q)).collect();
             for (i, (s, w)) in simd.iter().zip(&recursive).enumerate() {
                 prop_assert!(
@@ -162,7 +205,7 @@ proptest! {
                 .with_pred(0, LeafPred::eq(probe as f64))
                 .with_pred(2, LeafPred::IsNull),
         ];
-        let got = BatchEvaluator::new().evaluate(&compiled, &queries);
+        let got = sweep(&compiled, &queries, false);
         for (i, q) in queries.iter().enumerate() {
             let want = spn.evaluate(q);
             prop_assert!(
@@ -185,7 +228,7 @@ proptest! {
         }
         let compiled = spn.compile();
         let q = SpnQuery::new(3).with_pred(0, LeafPred::eq(probe as f64));
-        let got = BatchEvaluator::new().evaluate(&compiled, std::slice::from_ref(&q))[0];
+        let got = sweep(&compiled, std::slice::from_ref(&q), false)[0];
         let want = spn.evaluate(&q);
         prop_assert!((got - want).abs() < 1e-12, "{got} vs {want}");
     }
@@ -210,9 +253,8 @@ proptest! {
             );
         }
         let queries: Vec<SpnQuery> = batch.iter().map(|specs| build_query(specs)).collect();
-        let mut ev = BatchEvaluator::new();
-        let simd = ev.evaluate(&arena, &queries);
-        let scalar = ev.evaluate_scalar(&arena, &queries);
+        let simd = sweep(&arena, &queries, false);
+        let scalar = sweep(&arena, &queries, true);
         for (i, (s, c)) in simd.iter().zip(&scalar).enumerate() {
             prop_assert_eq!(s.to_bits(), c.to_bits(), "query {}: simd vs scalar", i);
             let want = spn.evaluate(&queries[i]);

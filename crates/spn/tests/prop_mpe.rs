@@ -1,47 +1,83 @@
 //! Differential property suite for compiled max-product inference: the
-//! arena MPE pass ([`deepdb_spn::MaxProductEvaluator`]) must agree with the
+//! arena MPE pass ([`SweepJob::mpe`]) must agree with the
 //! recursive oracle **bitwise** (score) and exactly (value) on randomized
 //! SPNs × randomized evidence — including NULL evidence, empty-support
 //! targets (evidence values the model never saw), and tied clusters (small
 //! discrete domains make exact weight/score ties common). Both paths share
 //! one tie-break rule: the lowest-index child wins at sum nodes, the lowest
 //! value wins inside a leaf. The SIMD (max, ×) kernels are additionally
-//! held to **bitwise** equality against the scalar reference path
-//! ([`MaxProductEvaluator::evaluate_scalar`]), including after in-place
-//! patched-update streams.
+//! held to **bitwise** equality against the scalar reference kernels
+//! ([`SweepJob::scalar`]), including after in-place patched-update streams
+//! and when models of different widths are swept alternately from one
+//! thread's reused scratch.
 
 use deepdb_spn::{
-    ColumnMeta, DataView, LeafPred, MaxProductEvaluator, MpeProbe, Spn, SpnParams, SpnQuery,
+    ColumnMeta, CompiledSpn, DataView, LeafPred, MpeOutcome, MpeProbe, Spn, SpnParams, SpnQuery,
+    SweepJob, WorkerPool,
 };
 use proptest::prelude::*;
+
+/// One inline max-product sweep of `probes` on this thread's reused scratch.
+fn sweep(spn: &CompiledSpn, probes: &[MpeProbe], scalar: bool) -> Vec<MpeOutcome> {
+    let mut out = vec![MpeOutcome::default(); probes.len()];
+    let mut job = SweepJob::mpe(spn, probes, &mut out);
+    job.scalar = scalar;
+    WorkerPool::new().sweep([job], 1);
+    out
+}
+
+/// The same sweep on a new thread, whose scratch starts empty.
+fn sweep_fresh(spn: &CompiledSpn, probes: &[MpeProbe]) -> Vec<MpeOutcome> {
+    std::thread::scope(|s| s.spawn(|| sweep(spn, probes, false)).join().unwrap())
+}
+
+/// Outcomes as comparable bits (score bits, value bits).
+fn bits(v: &[MpeOutcome]) -> Vec<(u64, Option<u64>)> {
+    v.iter()
+        .map(|o| (o.score.to_bits(), o.value.map(f64::to_bits)))
+        .collect()
+}
 
 /// Learn a 3-column SPN: two small discrete columns (tight domains force
 /// frequent exact ties) and a nullable column where `0` encodes NULL.
 fn learn(rows: &[(i64, i64, i64)]) -> Spn {
+    learn_cols(rows, 3)
+}
+
+/// Learn an SPN over the first `n_cols` of those columns.
+fn learn_cols(rows: &[(i64, i64, i64)], n_cols: usize) -> Spn {
     let a: Vec<f64> = rows.iter().map(|&(x, _, _)| x as f64).collect();
     let b: Vec<f64> = rows.iter().map(|&(_, y, _)| y as f64).collect();
     let c: Vec<f64> = rows
         .iter()
         .map(|&(_, _, z)| if z == 0 { f64::NAN } else { z as f64 })
         .collect();
-    let meta = vec![
+    let meta = [
         ColumnMeta::discrete("a"),
         ColumnMeta::discrete("b"),
         ColumnMeta::discrete("c"),
     ];
-    let cols = vec![a, b, c];
+    let mut cols = vec![a, b, c];
+    cols.truncate(n_cols);
+    let meta = &meta[..n_cols];
     let params = SpnParams {
         rdc_sample_rows: 400,
         ..SpnParams::default()
     };
-    Spn::learn(DataView::new(&cols, &meta), &params)
+    Spn::learn(DataView::new(&cols, meta), &params)
 }
 
 /// Build one evidence query from slot specs `(col, pred_kind, v)`. Values
 /// range past the training domain so empty-support evidence is generated.
 fn build_evidence(specs: &[(usize, i64, i64)]) -> SpnQuery {
-    let mut q = SpnQuery::new(3);
+    build_evidence_cols(specs, 3)
+}
+
+/// [`build_evidence`] over an `n_cols`-wide model (columns wrap around).
+fn build_evidence_cols(specs: &[(usize, i64, i64)], n_cols: usize) -> SpnQuery {
+    let mut q = SpnQuery::new(n_cols);
     for &(col, kind, v) in specs {
+        let col = col % n_cols;
         let v = v as f64;
         match kind % 6 {
             0 => {}
@@ -60,7 +96,9 @@ proptest! {
 
     /// Compiled MPE ≡ recursive oracle: exact value equality and bitwise
     /// score equality, for every target column, across batches that straddle
-    /// the sweep tile width.
+    /// the sweep tile width. A narrower second model is swept in between on
+    /// the same thread, so the reused scratch alternates between models of
+    /// different widths; both must match sweeps from fresh scratch bitwise.
     #[test]
     fn compiled_mpe_matches_recursive_oracle(
         rows in prop::collection::vec((0i64..4, 0i64..6, 0i64..4), 20..250),
@@ -75,8 +113,15 @@ proptest! {
             .iter()
             .map(|(target, specs)| MpeProbe::new(*target, build_evidence(specs)))
             .collect();
-        let got = MaxProductEvaluator::new().evaluate(&compiled, &probes);
+        let got = sweep(&compiled, &probes, false);
         prop_assert_eq!(got.len(), probes.len());
+        let narrow = learn_cols(&rows, 2).compile();
+        let narrow_probes: Vec<MpeProbe> = batch
+            .iter()
+            .chain(batch.iter().take(5))
+            .map(|(target, specs)| MpeProbe::new(target % 2, build_evidence_cols(specs, 2)))
+            .collect();
+        let narrow_got = sweep(&narrow, &narrow_probes, false);
         for (i, p) in probes.iter().enumerate() {
             let (want_score, want_value) = spn.mpe_outcome(p.target, &p.query);
             prop_assert_eq!(
@@ -90,8 +135,10 @@ proptest! {
                 i, got[i].score, want_score
             );
         }
+        prop_assert_eq!(bits(&got), bits(&sweep_fresh(&compiled, &probes)));
+        prop_assert_eq!(bits(&narrow_got), bits(&sweep_fresh(&narrow, &narrow_probes)));
         // And the SIMD kernels reproduce the scalar path bit for bit.
-        let scalar = MaxProductEvaluator::new().evaluate_scalar(&compiled, &probes);
+        let scalar = sweep(&compiled, &probes, true);
         for (i, (s, c)) in got.iter().zip(&scalar).enumerate() {
             prop_assert_eq!(s.value, c.value, "probe {}: simd vs scalar value", i);
             prop_assert_eq!(
@@ -125,7 +172,7 @@ proptest! {
             // NULL evidence on the nullable column.
             MpeProbe::new(target, SpnQuery::new(3).with_pred(2, LeafPred::IsNull)),
         ];
-        let got = MaxProductEvaluator::new().evaluate(&compiled, &probes);
+        let got = sweep(&compiled, &probes, false);
         for (i, p) in probes.iter().enumerate() {
             let (want_score, want_value) = spn.mpe_outcome(p.target, &p.query);
             prop_assert_eq!(got[i].value, want_value, "probe {}", i);
@@ -150,8 +197,7 @@ proptest! {
             );
         }
         let q = SpnQuery::new(3).with_pred((target + 1) % 3, LeafPred::ge(1.0));
-        let got = MaxProductEvaluator::new()
-            .evaluate(&arena, &[MpeProbe::new(target, q.clone())])[0];
+        let got = sweep(&arena, &[MpeProbe::new(target, q.clone())], false)[0];
         let (want_score, want_value) = spn.mpe_outcome(target, &q);
         prop_assert_eq!(got.value, want_value);
         prop_assert_eq!(got.score.to_bits(), want_score.to_bits());
@@ -163,8 +209,8 @@ proptest! {
                 SpnQuery::new(3).with_pred((target + i + 1) % 3, LeafPred::ge((i % 4) as f64)),
             ))
             .collect();
-        let simd = MaxProductEvaluator::new().evaluate(&arena, &probes);
-        let scalar = MaxProductEvaluator::new().evaluate_scalar(&arena, &probes);
+        let simd = sweep(&arena, &probes, false);
+        let scalar = sweep(&arena, &probes, true);
         for (i, (s, c)) in simd.iter().zip(&scalar).enumerate() {
             prop_assert_eq!(s.value, c.value, "probe {}: simd vs scalar value", i);
             prop_assert_eq!(

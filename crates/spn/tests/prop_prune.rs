@@ -7,11 +7,30 @@
 //! shape the worker pool and inline sweeps dispatch.
 
 use deepdb_spn::{
-    BatchEvaluator, ColumnMeta, DataView, InlineSweep, LeafFunc, LeafPred, MaxProductEvaluator,
-    MpeOutcome, MpeProbe, Spn, SpnParams, SpnQuery, SweepJob, WorkerPool, SWEEP_TILE,
+    ActiveSet, ColumnMeta, CompiledSpn, DataView, LeafFunc, LeafPred, MpeOutcome, MpeProbe, Spn,
+    SpnParams, SpnQuery, SweepJob, WorkerPool, SWEEP_TILE,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+/// One inline fused sweep of `queries` and `probes`, pruned to `active`.
+fn sweep(
+    spn: &CompiledSpn,
+    queries: &[SpnQuery],
+    probes: &[MpeProbe],
+    active: Option<&ActiveSet>,
+) -> (Vec<f64>, Vec<MpeOutcome>) {
+    let mut out = vec![0.0; queries.len()];
+    let mut mpe_out = vec![MpeOutcome::default(); probes.len()];
+    let job = SweepJob {
+        queries,
+        out: &mut out,
+        active,
+        ..SweepJob::mpe(spn, probes, &mut mpe_out)
+    };
+    WorkerPool::new().sweep([job], 1);
+    (out, mpe_out)
+}
 
 /// Learn a 3-column SPN: a small discrete column, a wider discrete column,
 /// and a factor-like column where `0` encodes NULL (exercises the NULL slot
@@ -126,11 +145,10 @@ proptest! {
         let spn = learn(&rows);
         let compiled = spn.compile();
         let queries: Vec<SpnQuery> = batch.iter().map(|specs| build_query(specs)).collect();
-        let mut ev = BatchEvaluator::new();
-        let full = ev.evaluate(&compiled, &queries);
+        let full = sweep(&compiled, &queries, &[], None).0;
 
         let exact = compiled.active_set(&cover(&queries, &[]));
-        let pruned = ev.evaluate_pruned(&compiled, &queries, &exact);
+        let pruned = sweep(&compiled, &queries, &[], Some(&exact)).0;
         for (i, (p, f)) in pruned.iter().zip(&full).enumerate() {
             prop_assert_eq!(p.to_bits(), f.to_bits(), "query {}: pruned {} vs full {}", i, p, f);
         }
@@ -139,7 +157,7 @@ proptest! {
         sup_cols.push(extra);
         let superset = compiled.active_set(&sup_cols);
         prop_assert!(superset.n_active() >= exact.n_active());
-        let sup = ev.evaluate_pruned(&compiled, &queries, &superset);
+        let sup = sweep(&compiled, &queries, &[], Some(&superset)).0;
         for (i, (p, f)) in sup.iter().zip(&full).enumerate() {
             prop_assert_eq!(p.to_bits(), f.to_bits(), "query {} (superset cover)", i);
         }
@@ -161,10 +179,9 @@ proptest! {
             .iter()
             .map(|(t, specs)| MpeProbe::new(*t, build_query(specs)))
             .collect();
-        let mut ev = MaxProductEvaluator::new();
-        let full = ev.evaluate(&compiled, &probes);
+        let full = sweep(&compiled, &[], &probes, None).1;
         let active = compiled.active_set(&cover(&[], &probes));
-        let pruned = ev.evaluate_pruned(&compiled, &probes, &active);
+        let pruned = sweep(&compiled, &[], &probes, Some(&active)).1;
         assert_mpe_bitwise(&pruned, &full);
     }
 
@@ -188,27 +205,24 @@ proptest! {
         let probes = vec![MpeProbe::new(target, queries[0].clone())];
         // Built before any patch: must stay valid for the whole stream.
         let active = arena.active_set(&cover(&queries, &probes));
-        let mut ev = BatchEvaluator::new();
-        let mut mp = MaxProductEvaluator::new();
         for &(x, y, z) in &tuples {
             spn.insert_patch(
                 &mut arena,
                 &[x as f64, y as f64, if z == 0 { f64::NAN } else { z as f64 }],
             );
-            let full = ev.evaluate(&arena, &queries);
-            let pruned = ev.evaluate_pruned(&arena, &queries, &active);
+            let (full, full_mpe) = sweep(&arena, &queries, &probes, None);
+            let (pruned, pruned_mpe) = sweep(&arena, &queries, &probes, Some(&active));
             for (i, (p, f)) in pruned.iter().zip(&full).enumerate() {
                 prop_assert_eq!(p.to_bits(), f.to_bits(), "query {} after patch", i);
             }
-            let full_mpe = mp.evaluate(&arena, &probes);
-            let pruned_mpe = mp.evaluate_pruned(&arena, &probes, &active);
             assert_mpe_bitwise(&pruned_mpe, &full_mpe);
         }
     }
 
     /// Pool and inline dispatch: a fused expectation+MPE sweep carrying
     /// `SweepJob::active` must reproduce the unpruned job bitwise across
-    /// thread counts and tile-straddling batch shapes.
+    /// thread counts (1 = the inline path) and tile-straddling batch
+    /// shapes.
     #[test]
     fn pool_and_inline_pruned_sweeps_match_full(
         rows in prop::collection::vec((0i64..5, 0i64..30, 0i64..4), 30..150),
@@ -236,32 +250,12 @@ proptest! {
             for threads in [1usize, 2, 4] {
                 full.fill(0.0);
                 pruned.fill(0.0);
-                pool.sweep(
-                    vec![SweepJob {
-                        spn: &compiled,
-                        queries: &queries,
-                        out: &mut full,
-                        mpe: &probes,
-                        mpe_out: &mut full_mpe,
-                        cancel: None,
-                        fault: None,
-                        active: None,
-                    }],
-                    threads,
-                );
-                pool.sweep(
-                    vec![SweepJob {
-                        spn: &compiled,
-                        queries: &queries,
-                        out: &mut pruned,
-                        mpe: &probes,
-                        mpe_out: &mut pruned_mpe,
-                        cancel: None,
-                        fault: None,
-                        active: Some(&active),
-                    }],
-                    threads,
-                );
+                let mut job = SweepJob::mpe(&compiled, &probes, &mut full_mpe);
+                (job.queries, job.out) = (&queries, &mut full);
+                pool.sweep([job], threads);
+                let mut job = SweepJob::mpe(&compiled, &probes, &mut pruned_mpe);
+                (job.queries, job.out, job.active) = (&queries, &mut pruned, Some(&active));
+                pool.sweep([job], threads);
                 for (i, (p, f)) in pruned.iter().zip(&full).enumerate() {
                     prop_assert_eq!(
                         p.to_bits(), f.to_bits(),
@@ -270,22 +264,6 @@ proptest! {
                 }
                 assert_mpe_bitwise(&pruned_mpe, &full_mpe);
             }
-
-            // Inline (pool-free) dispatch takes the same pruned path.
-            let mut inline = InlineSweep::new();
-            pruned.fill(0.0);
-            inline.sweep(
-                &compiled,
-                &queries,
-                &mut pruned,
-                &probes,
-                &mut pruned_mpe,
-                Some(&active),
-            );
-            for (i, (p, f)) in pruned.iter().zip(&full).enumerate() {
-                prop_assert_eq!(p.to_bits(), f.to_bits(), "inline batch {}, query {}", n, i);
-            }
-            assert_mpe_bitwise(&pruned_mpe, &full_mpe);
         }
     }
 }
@@ -316,9 +294,8 @@ fn pruned_sweep_accounts_only_active_nodes() {
     );
     let tiles = queries.len().div_ceil(SWEEP_TILE) as u64;
 
-    let mut ev = BatchEvaluator::new();
     let before = compiled.nodes_swept();
-    let full = ev.evaluate(&compiled, &queries);
+    let full = sweep(&compiled, &queries, &[], None).0;
     let full_delta = compiled.nodes_swept() - before;
     assert_eq!(
         full_delta,
@@ -327,7 +304,7 @@ fn pruned_sweep_accounts_only_active_nodes() {
     );
 
     let before = compiled.nodes_swept();
-    let pruned = ev.evaluate_pruned(&compiled, &queries, &active);
+    let pruned = sweep(&compiled, &queries, &[], Some(&active)).0;
     let pruned_delta = compiled.nodes_swept() - before;
     assert_eq!(
         pruned_delta,

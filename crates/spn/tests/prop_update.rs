@@ -8,9 +8,21 @@
 //! regression surface of the old `saturating_sub` delete desync.
 
 use deepdb_spn::{
-    BatchEvaluator, ColumnMeta, CompiledSpn, DataView, LeafFunc, LeafPred, Spn, SpnParams, SpnQuery,
+    ColumnMeta, CompiledSpn, DataView, LeafFunc, LeafPred, Spn, SpnParams, SpnQuery, SweepJob,
+    WorkerPool,
 };
 use proptest::prelude::*;
+
+/// One inline sweep of `queries` against `arena`.
+fn sweep(arena: &CompiledSpn, queries: &[SpnQuery]) -> Vec<f64> {
+    let mut out = vec![0.0; queries.len()];
+    WorkerPool::new().sweep([SweepJob::expect(arena, queries, &mut out)], 1);
+    out
+}
+
+fn sweep_one(arena: &CompiledSpn, q: &SpnQuery) -> f64 {
+    sweep(arena, std::slice::from_ref(q))[0]
+}
 
 /// Learn a 3-column SPN: two discrete columns plus a factor-like column
 /// where `0` encodes NULL (exercises NULL-slot patching).
@@ -67,10 +79,9 @@ fn assert_patch_equals_recompile(patched_arena: &CompiledSpn, baseline_tree: &Sp
         recompiled.n_rows()
     );
     // Belt and braces: probe results agree bit for bit too.
-    let mut ev = BatchEvaluator::new();
     let q = probes();
-    let got = ev.evaluate(patched_arena, &q);
-    let want = ev.evaluate(&recompiled, &q);
+    let got = sweep(patched_arena, &q);
+    let want = sweep(&recompiled, &q);
     for (i, (g, w)) in got.iter().zip(&want).enumerate() {
         assert_eq!(g.to_bits(), w.to_bits(), "probe {i} diverged: {g} vs {w}");
     }
@@ -211,17 +222,20 @@ fn null_tuples_patch_null_mass_in_place() {
     let mut spn = learn(&rows);
     let mut arena = spn.compile();
     let q = SpnQuery::new(3).with_pred(2, LeafPred::IsNull);
-    let before = arena.evaluate(&q);
+    let before = sweep_one(&arena, &q);
 
     let t = tuple(1, 2, 0); // f = 0 encodes NULL
     spn.insert_patch(&mut arena, &t);
-    assert!(arena.evaluate(&q) > before, "NULL mass must grow in place");
+    assert!(
+        sweep_one(&arena, &q) > before,
+        "NULL mass must grow in place"
+    );
     assert!(arena.bitwise_eq(&spn.compile()));
 
     assert!(spn.delete_patch(&mut arena, &t));
     assert_eq!(
-        arena.evaluate(&q).to_bits(),
-        spn.compile().evaluate(&q).to_bits()
+        sweep_one(&arena, &q).to_bits(),
+        sweep_one(&spn.compile(), &q).to_bits()
     );
     assert_eq!(spn.consistency_error(), None);
 }
